@@ -10,7 +10,7 @@ test:
 
 race:
 	$(GO) test -race -skip TestGoldenTraces . ./internal/campaign/ ./service/
-	$(GO) test -race -run 'TestSnapshot' ./internal/core/
+	$(GO) test -race -run 'TestSnapshot|TestStateComplete' ./internal/core/
 
 # Full performance suite: emits BENCH_<timestamp>.json in the repo
 # root — the trajectory point for this commit.

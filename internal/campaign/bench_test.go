@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"runtime"
 	"testing"
 	"time"
@@ -37,7 +38,7 @@ func benchCampaign(b *testing.B, workers int) {
 	simSeconds := spec.Duration.Seconds() * float64(spec.Runs*len(spec.Points))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		records, err := Run(spec)
+		records, _, _, err := RunAggregatedStats(context.Background(), spec)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -160,37 +160,23 @@ func DeriveSeed(base uint64, point, run int) uint64 {
 	return z
 }
 
-// Run executes the campaign and returns one Record per (point, run),
-// ordered by point then run index regardless of worker interleaving.
-func Run(spec Spec) ([]Record, error) {
-	return RunContext(context.Background(), spec)
-}
-
-// RunContext is Run with cancellation: when the context is done, no
-// new runs are dispatched, in-flight runs stop at the next engine
-// checkpoint, and the partial record set is returned together with
-// the context's error. Every cell is present in the output; cells
-// that never ran (or were interrupted) carry a non-empty Err.
-func RunContext(ctx context.Context, spec Spec) ([]Record, error) {
-	records, _, err := RunAggregated(ctx, spec)
-	return records, err
-}
-
-// RunAggregated is RunContext returning the per-point aggregates
-// alongside the records. Aggregation is sharded: each worker folds
-// its completed runs into a private partial aggregate as it goes, and
-// the shards are merged once after the pool drains — no post-pass
-// over the record population and no cross-worker synchronization on
-// the hot path. The merged aggregates are identical to
-// AggregateRecords over the same records.
-func RunAggregated(ctx context.Context, spec Spec) ([]Record, []Aggregate, error) {
-	records, aggs, _, err := RunAggregatedStats(ctx, spec)
-	return records, aggs, err
-}
-
-// RunAggregatedStats is RunAggregated also returning the campaign's
-// execution Stats: ticks flown, prefix ticks saved by checkpoint
-// forking, and how much of the grid qualified for sharing.
+// RunAggregatedStats executes the campaign and returns one Record per
+// (point, run), ordered by point then run index regardless of worker
+// interleaving, together with the per-point aggregates and the
+// campaign's execution Stats: ticks flown, prefix ticks saved by
+// checkpoint forking, and how much of the grid qualified for sharing.
+//
+// Cancellation: when the context is done, no new runs are dispatched,
+// in-flight runs stop at the next engine checkpoint, and the partial
+// record set is returned together with the context's error. Every cell
+// is present in the output; cells that never ran (or were interrupted)
+// carry a non-empty Err.
+//
+// Aggregation is sharded: each worker folds its completed runs into a
+// private partial aggregate as it goes, and the shards are merged once
+// after the pool drains — no post-pass over the record population and
+// no cross-worker synchronization on the hot path. The merged
+// aggregates are identical to AggregateRecords over the same records.
 func RunAggregatedStats(ctx context.Context, spec Spec) ([]Record, []Aggregate, Stats, error) {
 	var stats Stats
 	if spec.Runs <= 0 {
@@ -517,6 +503,9 @@ func (w *worker) runForkIndex(ctx context.Context, gi int, g *forkGroup, ri int,
 	berr, bpanic, bstack := protect(func() error {
 		var err error
 		leader, err = w.groupSystem(gi, leadPI, seed)
+		if err == nil {
+			leader.Reset(seed)
+		}
 		return err
 	})
 	if berr != nil || bpanic {
@@ -699,14 +688,16 @@ func (w *worker) system(pi int, seed uint64) (*core.System, error) {
 }
 
 // groupSystem is the fork path's warm cache: a System for point pi of
-// group gi, reset to seed. The map is dropped when the worker moves
-// to a different group, bounding residency at one group's width.
+// group gi, built at seed when first needed and otherwise returned as
+// its last run left it — the caller rewinds it, with Reset for the
+// prefix leader and RestoreFrom for a forked member. The map is
+// dropped when the worker moves to a different group, bounding
+// residency at one group's width.
 func (w *worker) groupSystem(gi, pi int, seed uint64) (*core.System, error) {
 	if w.gi != gi {
 		w.gi, w.group = gi, nil
 	}
 	if sys := w.group[pi]; sys != nil {
-		sys.Reset(seed)
 		return sys, nil
 	}
 	cfg, err := buildPoint(w.spec.Points[pi], w.spec, seed)

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"reflect"
 	"strings"
@@ -26,7 +27,7 @@ func shortSpec() Spec {
 // output regardless of worker scheduling.
 func TestCampaignDeterministicUnderParallelism(t *testing.T) {
 	emit := func() []byte {
-		records, err := Run(shortSpec())
+		records, _, _, err := RunAggregatedStats(context.Background(), shortSpec())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,11 +48,11 @@ func TestCampaignDeterministicUnderParallelism(t *testing.T) {
 func TestCampaignParallelMatchesSerial(t *testing.T) {
 	serial := shortSpec()
 	serial.Parallel = 1
-	recSerial, err := Run(serial)
+	recSerial, _, _, err := RunAggregatedStats(context.Background(), serial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recParallel, err := Run(shortSpec())
+	recParallel, _, _, err := RunAggregatedStats(context.Background(), shortSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestCampaignParallelMatchesSerial(t *testing.T) {
 
 func TestCampaignRecordsOrderAndSeeds(t *testing.T) {
 	spec := shortSpec()
-	records, err := Run(spec)
+	records, _, _, err := RunAggregatedStats(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,10 +85,10 @@ func TestCampaignRecordsOrderAndSeeds(t *testing.T) {
 }
 
 func TestCampaignRejectsBadSpecs(t *testing.T) {
-	if _, err := Run(Spec{Runs: 0, Points: []Point{{Label: "x", Scenario: "baseline"}}}); err == nil {
+	if _, _, _, err := RunAggregatedStats(context.Background(), Spec{Runs: 0, Points: []Point{{Label: "x", Scenario: "baseline"}}}); err == nil {
 		t.Fatal("zero runs accepted")
 	}
-	if _, err := Run(Spec{Runs: 1}); err == nil {
+	if _, _, _, err := RunAggregatedStats(context.Background(), Spec{Runs: 1}); err == nil {
 		t.Fatal("empty point set accepted")
 	}
 	// A bad sweep key must fail up front, before any run executes.
@@ -96,11 +97,11 @@ func TestCampaignRejectsBadSpecs(t *testing.T) {
 			Params: map[string]float64{"not.a.key": 1}}},
 		Runs: 1, Duration: time.Second,
 	}
-	if _, err := Run(spec); err == nil {
+	if _, _, _, err := RunAggregatedStats(context.Background(), spec); err == nil {
 		t.Fatal("unknown sweep key accepted")
 	}
 	spec = Spec{Points: []Point{{Label: "x", Scenario: "no-such"}}, Runs: 1}
-	if _, err := Run(spec); err == nil {
+	if _, _, _, err := RunAggregatedStats(context.Background(), spec); err == nil {
 		t.Fatal("unknown scenario accepted")
 	}
 }

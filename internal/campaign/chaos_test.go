@@ -42,7 +42,7 @@ func TestChaosPanicIsolation(t *testing.T) {
 		return nil
 	})
 
-	clean, cleanAggs, err := RunAggregated(context.Background(), chaosSpec("baseline", runs, ChaosFunc(
+	clean, cleanAggs, _, err := RunAggregatedStats(context.Background(), chaosSpec("baseline", runs, ChaosFunc(
 		func(point, run, attempt int) error { return nil })))
 	if err != nil {
 		t.Fatalf("clean campaign: %v", err)
@@ -122,7 +122,7 @@ func TestChaosZeroFailureOutputIdentical(t *testing.T) {
 // deterministic), while a permanent error fails without retry and an
 // always-transient failure exhausts its attempt budget.
 func TestChaosTransientRetry(t *testing.T) {
-	clean, _, err := RunAggregated(context.Background(), chaosSpec("baseline", 3, nil))
+	clean, _, _, err := RunAggregatedStats(context.Background(), chaosSpec("baseline", 3, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestChaosPanicContracts(t *testing.T) {
 // TestChaosStall: a stalled run (hung dependency simulated by the
 // hook sleeping) delays the campaign but corrupts nothing.
 func TestChaosStall(t *testing.T) {
-	clean, _, err := RunAggregated(context.Background(), chaosSpec("baseline", 3, nil))
+	clean, _, _, err := RunAggregatedStats(context.Background(), chaosSpec("baseline", 3, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestChaosStall(t *testing.T) {
 		t.Fatal(err)
 	}
 	hook.(*envChaos).bind(3)
-	records, _, err := RunAggregated(context.Background(), chaosSpec("baseline", 3, hook))
+	records, _, _, err := RunAggregatedStats(context.Background(), chaosSpec("baseline", 3, hook))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,13 +47,13 @@ func warmColdSpec(t *testing.T) Spec {
 func TestWarmColdEquivalence(t *testing.T) {
 	spec := warmColdSpec(t)
 
-	warmRec, warmAgg, err := RunAggregated(context.Background(), spec)
+	warmRec, warmAgg, _, err := RunAggregatedStats(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cold := spec
 	cold.ColdStart = true
-	coldRec, coldAgg, err := RunAggregated(context.Background(), cold)
+	coldRec, coldAgg, _, err := RunAggregatedStats(context.Background(), cold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestWarmColdEquivalence(t *testing.T) {
 // aggregation paths must stay interchangeable.
 func TestShardedAggregationMatchesPostPass(t *testing.T) {
 	spec := warmColdSpec(t)
-	records, aggs, err := RunAggregated(context.Background(), spec)
+	records, aggs, _, err := RunAggregatedStats(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestStreamDeliversEveryRecordOnce(t *testing.T) {
 		seen[r.Point+"#"+strconv.Itoa(r.Run)]++
 		mu.Unlock()
 	}
-	records, err := RunContext(context.Background(), spec)
+	records, _, _, err := RunAggregatedStats(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

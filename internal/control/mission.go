@@ -38,16 +38,6 @@ func NewMission(wps ...Waypoint) *Mission {
 // Done reports whether every waypoint has been visited and held.
 func (m *Mission) Done() bool { return m.idx >= len(m.Waypoints) }
 
-// Reset rewinds the mission to its first waypoint with no hold or
-// slew history, as if freshly built.
-func (m *Mission) Reset() {
-	m.idx = 0
-	m.holdUntil = 0
-	m.holding = false
-	m.current = Setpoint{}
-	m.primed = false
-}
-
 // MissionState is a snapshot of the mission's progress; the waypoint
 // list and slew rate are configuration and stay with their owner.
 type MissionState struct {

@@ -60,19 +60,6 @@ func TestPIDOutputClamp(t *testing.T) {
 	}
 }
 
-func TestPIDReset(t *testing.T) {
-	p := PID{Kp: 1, Ki: 1, Kd: 1}
-	p.Update(1, 0.1)
-	p.Update(2, 0.1)
-	p.Reset()
-	if p.Integrator() != 0 {
-		t.Fatal("integrator survived reset")
-	}
-	if got := p.Update(1, 0.1); math.Abs(got-(1+0.1)) > 1e-9 {
-		t.Fatalf("post-reset output = %v, want P+I only (no stale derivative)", got)
-	}
-}
-
 func TestPIDZeroDTSafe(t *testing.T) {
 	p := PID{Kp: 1, Ki: 1, Kd: 1}
 	if got := p.Update(2, 0); got != 2 {
@@ -108,15 +95,6 @@ func TestLowPassSmoothing(t *testing.T) {
 	}
 	if f.Value() != 1 {
 		t.Fatalf("Value = %v", f.Value())
-	}
-}
-
-func TestLowPassReset(t *testing.T) {
-	f := LowPass{Alpha: 0.5}
-	f.Update(10)
-	f.Reset()
-	if got := f.Update(2); got != 2 {
-		t.Fatalf("post-reset first sample = %v, want 2", got)
 	}
 }
 

@@ -124,7 +124,7 @@ type Drone struct {
 	hostIn control.Inputs
 
 	// CCE controller per-run state and scratch (fields rather than
-	// closure locals so Reset can rewind them between warm-pool runs).
+	// closure locals so a Snapshot can capture them).
 	cceIn           control.Inputs
 	cceSeq          uint32
 	cceMotorPayload []byte
@@ -133,9 +133,6 @@ type Drone struct {
 	// The per-member RNG streams, held so Reset(seed) can re-derive
 	// them in place in exactly the Split order New used.
 	sensorRNG, windRNG *sim.RNG
-
-	// trim is the hover throttle vector every run starts from.
-	trim [4]float64
 
 	// Trace component names: bare ("monitor") for a single-drone
 	// System, member-tagged ("monitor#1") in a swarm.
@@ -229,10 +226,10 @@ func newDrone(s *System, idx int, rng *sim.RNG) (*Drone, error) {
 	d.Quad = physics.NewQuad(physics.DefaultParams())
 	d.Quad.State.Pos = d.initPos
 	hov := d.Quad.HoverThrottle()
-	d.trim = [4]float64{hov, hov, hov, hov}
-	d.Quad.SetMotors(d.trim)
+	trim := [4]float64{hov, hov, hov, hov}
+	d.Quad.SetMotors(trim)
 	d.Quad.SettleRotors()
-	d.complexCmd, d.safetyCmd, d.hostCmd = d.trim, d.trim, d.trim
+	d.complexCmd, d.safetyCmd, d.hostCmd = trim, trim, trim
 
 	d.curSetpoint = d.initPos
 	d.holdSP = d.initPos
@@ -328,66 +325,6 @@ func memberOffset(cfg Config, idx int) physics.Vec3 {
 		return physics.Vec3{}
 	}
 	return physics.Vec3{X: -cfg.Spacing() * float64(idx)}
-}
-
-// reset rewinds the member to its just-built state. The caller has
-// already reset the shared substrates (engine, fabric, trace) and
-// re-derived this member's RNG streams.
-func (d *Drone) reset() {
-	d.CPU.Reset()
-	d.Bus.Reset()
-	d.Guard.Reset()
-	d.Runtime.NAT().ResetCounters()
-	d.CCE.Reset()
-
-	// Vehicle back to the start of the flight envelope.
-	d.Quad.Reset()
-	d.Quad.State.Pos = d.initPos
-	d.Quad.SetMotors(d.trim)
-	d.Quad.SettleRotors()
-	d.complexCmd, d.safetyCmd, d.hostCmd = d.trim, d.trim, d.trim
-	if d.wind != nil {
-		d.wind.Reset()
-	}
-
-	// Sensors, estimators, controllers, monitor, mission.
-	d.suite.Reset()
-	d.hostEst.Reset()
-	d.cceEst.Reset()
-	d.safetyCtl.Reset()
-	d.complexCtl.Reset()
-	d.Monitor.Reset()
-	if d.mission != nil {
-		d.mission.Reset()
-	}
-	d.curSetpoint = d.initPos
-	d.holdSP = d.initPos
-	d.fleetSP = d.initPos
-
-	// Recording and per-run caches.
-	d.Log.Reset()
-	d.lastIMU = sensors.IMUReading{}
-	d.lastGPS = sensors.GPSReading{}
-	d.lastBaro = sensors.BaroReading{}
-	d.lastRC = sensors.RCReading{}
-	d.complexCmdAt = 0
-	d.seqOut = 0
-	d.garbage = 0
-	d.cceIn = control.Inputs{}
-	d.cceSeq = 0
-	d.flood = nil
-	for _, st := range d.streams {
-		st.Packets = 0
-	}
-
-	// Fault-layer shared-surface accounting.
-	clear(d.replayFrames)
-	d.replayFrames = d.replayFrames[:0]
-	d.splitDepth = 0
-	d.baroDropDepth = 0
-	d.gyroBiasDepth = 0
-	d.gpsSpoofDepth = 0
-	d.fleetSplitDepth = 0
 }
 
 func (d *Drone) registerStream(name string, port, size int) *StreamStat {
@@ -545,8 +482,8 @@ func (d *Drone) drainMotorPort(now time.Duration) {
 
 // hostInputs assembles controller inputs from the host estimator's
 // fused state plus the raw barometer/RC channels, into a reused
-// scratch field (fully overwritten on every call, so it needs no
-// per-run reset).
+// scratch field (fully overwritten on every call, so a Snapshot need
+// not capture it).
 func (d *Drone) hostInputs() *control.Inputs {
 	d.hostIn = control.Inputs{
 		IMU:  d.hostEst.Inputs(d.lastBaro, d.lastRC),
@@ -607,8 +544,8 @@ func (d *Drone) selectCommand() [4]float64 {
 // the container: it consumes the sensor stream from port 14660 and
 // emits motor frames to host port 14600 at 400 Hz (Table I).
 func (d *Drone) buildCCEController() error {
-	// Per-run input cache and stream sequence live on the Drone (so
-	// Reset rewinds them); the encode scratch is reused across jobs:
+	// Per-run input cache and stream sequence live on the Drone (so a
+	// Snapshot captures them); the encode scratch is reused across jobs:
 	// Container.Send copies the frame into the network pool before
 	// returning.
 	task := &sched.Task{

@@ -233,33 +233,44 @@ func (s *System) Snapshot() *Snapshot {
 }
 
 // RestoreFrom rewinds the System onto a captured state under the given
-// seed, reusing the System's allocations: first a full Reset (which
-// re-aligns every member's container bookkeeping, the engine schedule,
-// and every per-run cache to the build checkpoint), then the
-// snapshot's state is overlaid subsystem by subsystem and the engine
-// is sought to the capture tick. A restored System resumed with
-// ResumeContextInto runs byte-identically to a cold run of its own
-// Config at that seed, provided the Configs agree on everything that
-// acts before the capture tick (TestForkEquivalence pins this for
-// every registry scenario).
+// seed, reusing the System's allocations. It is the one rewind path
+// (Reset is RestoreFrom of the tick-zero capture): the structural
+// state a Snapshot cannot hold — scheduler task sets, container task
+// lists and process counts, the engine's one-shot schedule — rewinds
+// to the build checkpoints; the state Snapshotable guarantees empty at
+// any capture (fault windows, a live flood) is cleared; and everything
+// else is loaded from the snapshot, with the engine sought to the
+// capture tick. A restored System resumed with ResumeContextInto runs
+// byte-identically to a cold run of its own Config at that seed,
+// provided the Configs agree on everything that acts before the
+// capture tick (TestForkEquivalence pins this for every registry
+// scenario).
 //
 // The System must be built from the same scenario shape as the capture
 // source; structural mismatches (fleet size, task sets, endpoints,
 // wind or mission presence) panic. The Snapshot is read-only here and
 // remains valid for further restores.
 func (s *System) RestoreFrom(seed uint64, snap *Snapshot) {
+	s.restore(seed, &snap.engine, snap)
+}
+
+// restore is RestoreFrom with the engine state passed separately, so
+// Reset can seek the engine to its latest Checkpoint.
+func (s *System) restore(seed uint64, engine *sim.EngineState, snap *Snapshot) {
 	if len(snap.members) != len(s.drones) {
 		panic(fmt.Sprintf("core: RestoreFrom across fleet sizes (%d members captured, %d built); source and target must share a scenario",
 			len(snap.members), len(s.drones)))
 	}
-	s.Reset(seed)
-
-	s.Engine.Seek(&snap.engine)
+	s.Cfg.Seed = seed
+	s.Engine.Seek(engine)
 	s.Net.RestoreFrom(&snap.net)
 	s.Trace.RestoreFrom(&snap.trace)
 	*s.netRNG = snap.netRNG
 	s.leaderSP = snap.leaderSP
 	s.fleetSeq = snap.fleetSeq
+	clear(s.jitterStack)
+	s.jitterStack = s.jitterStack[:0]
+	s.baseLink = netsim.LinkParams{}
 
 	for i, d := range s.drones {
 		d.restoreFrom(&snap.members[i])
@@ -267,6 +278,7 @@ func (s *System) RestoreFrom(seed uint64, snap *Snapshot) {
 }
 
 func (d *Drone) restoreFrom(ms *memberSnap) {
+	d.CCE.RestoreCheckpoint()
 	d.CPU.RestoreFrom(&ms.cpu)
 	d.Bus.RestoreFrom(&ms.bus)
 	d.Guard.RestoreFrom(&ms.guard)
@@ -310,9 +322,17 @@ func (d *Drone) restoreFrom(ms *memberSnap) {
 	d.seqOut = ms.seqOut
 	d.garbage = ms.garbage
 
+	clear(d.replayFrames)
+	d.replayFrames = d.replayFrames[:0]
 	for _, f := range ms.replayFrames {
 		d.replayFrames = append(d.replayFrames, append([]byte(nil), f...))
 	}
+	d.flood = nil
+	d.splitDepth = 0
+	d.baroDropDepth = 0
+	d.gyroBiasDepth = 0
+	d.gpsSpoofDepth = 0
+	d.fleetSplitDepth = 0
 
 	d.imuStream.Packets = ms.streamPackets[0]
 	d.baroStream.Packets = ms.streamPackets[1]

@@ -119,10 +119,9 @@ type System struct {
 	// swarm results, reused across warm-pool runs.
 	violScratch []monitor.Violation
 
-	// chkLink is the bridge's link parameters at checkpoint time,
-	// restored on Reset (a persistent jitter fault may leave the link
-	// degraded at run end).
-	chkLink netsim.LinkParams
+	// tick0 is the just-built System, captured once by New: the state
+	// Reset rewinds to.
+	tick0 *Snapshot
 }
 
 // Members returns the fleet, leader first. The slice is owned by the
@@ -196,25 +195,32 @@ func New(cfg Config) (*System, error) {
 		})
 	}
 
-	// Checkpoint the fully wired scenario so Reset can rewind to this
-	// exact state: the engine's one-shot schedule (attack launches,
-	// fault windows, monitor arming), every scheduler's task set, the
-	// containers' bookkeeping, and the healthy link parameters.
+	// Checkpoint the fully wired scenario — the engine's one-shot
+	// schedule (attack launches, fault windows, monitor arming), every
+	// scheduler's task set, and the containers' bookkeeping — and
+	// capture its state, so Reset can rewind to exactly this System.
 	s.Engine.Checkpoint()
 	for _, d := range s.drones {
 		d.CPU.Checkpoint()
 		d.CCE.Checkpoint()
 	}
-	s.chkLink = s.Net.Link()
+	s.tick0 = s.Snapshot()
 	return s, nil
 }
 
 // Reset rewinds the System to its just-built state under a new seed,
-// reusing every allocation: rings, schedules, logs, task sets, and
-// fault/attack plans are rewound in place rather than rebuilt. A reset
-// System runs byte-identically to a cold core.New with the same Config
-// and seed (TestResetEquivalence pins this for every registry
-// scenario); at steady state Reset itself does not allocate.
+// reusing every allocation: it restores the tick-zero Snapshot New
+// captured, then re-derives the RNG tree from seed. New only splits
+// streams and never draws from them, so the re-derived streams are the
+// tick-zero streams of a cold build at seed, and a reset System runs
+// byte-identically to a cold core.New with the same Config and seed
+// (TestResetEquivalence pins this for every registry scenario, and
+// TestStateComplete compares the two field by field). At steady state
+// Reset does not allocate.
+//
+// The engine rewinds to its latest Checkpoint rather than to the one
+// New took, so processes registered and re-checkpointed after New stay
+// scheduled.
 //
 // Results produced before the Reset share buffers (flight logs, trace,
 // violations) with the System: consume or serialize them first.
@@ -222,12 +228,7 @@ func New(cfg Config) (*System, error) {
 // Reset must not be called mid-run — only after a completed (or
 // context-canceled and abandoned) run.
 func (s *System) Reset(seed uint64) {
-	s.Cfg.Seed = seed
-
-	// Shared substrates: engine schedule and the fabric.
-	s.Engine.Reset()
-	s.Net.Reset()
-	s.Net.SetLink(s.chkLink)
+	s.restore(seed, s.Engine.Checkpointed(), s.tick0)
 
 	// Re-derive the RNG tree exactly as New does: one root generator,
 	// the fabric stream first, then each member's streams (sensors,
@@ -241,17 +242,6 @@ func (s *System) Reset(seed uint64) {
 			rng.SplitInto(d.windRNG)
 		}
 	}
-
-	for _, d := range s.drones {
-		d.reset()
-	}
-
-	s.Trace.Reset()
-	clear(s.jitterStack)
-	s.jitterStack = s.jitterStack[:0]
-
-	s.leaderSP = s.Cfg.Setpoint
-	s.fleetSeq = 0
 }
 
 // nowUS converts engine time to the microsecond timestamps sensors use.

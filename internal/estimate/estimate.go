@@ -28,11 +28,11 @@ type Config struct {
 	// MaxCoast is the longest IMU gap integrated as-is; beyond it the
 	// filter declares itself unhealthy until the next fix.
 	MaxCoastUS uint64
-	// Home is the position the filter starts (and resets) at, before
-	// any fix arrives. A vehicle launched from a surveyed pad — a
-	// fleet member holding its formation slot — knows where it is;
-	// leaving Home zero reproduces the cold-start filter that dead
-	// reckons from the origin until the first fix.
+	// Home is the position the filter starts at, before any fix
+	// arrives. A vehicle launched from a surveyed pad — a fleet
+	// member holding its formation slot — knows where it is; leaving
+	// Home zero reproduces the cold-start filter that dead reckons
+	// from the origin until the first fix.
 	Home physics.Vec3
 }
 
@@ -78,15 +78,6 @@ func New(cfg Config) *Filter {
 
 // State returns the current estimate.
 func (f *Filter) State() State { return f.st }
-
-// Reset rewinds the filter to its just-built state: identity attitude,
-// unprimed, no staleness history.
-func (f *Filter) Reset() {
-	f.st = State{Attitude: physics.IdentityQuat(), Pos: f.cfg.Home}
-	f.primed = false
-	f.lastIMUUS = 0
-	f.lastFixUS = 0
-}
 
 // IMUStalenessUS returns the age of the newest IMU sample relative to
 // the given time — the signal a starved driver shows up in.

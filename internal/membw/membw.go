@@ -122,16 +122,6 @@ func (b *Bus) Charge(core int, accesses float64) uint64 {
 // programs its overflow interrupt on).
 func (b *Bus) Counter(core int) uint64 { return b.counters[core] }
 
-// Reset zeroes all per-core counters and per-tick demand, returning
-// the bus to its just-built state. Capacity configuration survives.
-func (b *Bus) Reset() {
-	for i := range b.demand {
-		b.demand[i] = 0
-		b.counters[i] = 0
-	}
-	b.lastLambda = 1
-}
-
 // BusState is a snapshot of the bus's dynamic state: the per-core
 // performance counters, the per-tick demand, and the last resolved λ.
 // Capacity configuration stays with its owner.

@@ -89,18 +89,6 @@ func (g *Guard) SetBudget(core int, accessesPerPeriod float64) {
 // Budget returns a core's per-period budget.
 func (g *Guard) Budget(core int) float64 { return g.budgets[core] }
 
-// Reset rewinds the regulator to time zero: usage, throttles, and
-// statistics clear; the enabled flag, period, and budgets survive as
-// configuration.
-func (g *Guard) Reset() {
-	for i := range g.used {
-		g.used[i] = 0
-		g.throttled[i] = false
-		g.stats[i] = CoreStats{}
-	}
-	g.nextReset = 0
-}
-
 // GuardState is a snapshot of the regulator's dynamic state: per-core
 // usage, throttles, statistics, and the next replenish time. The
 // enabled flag, period, and budgets are configuration and stay with

@@ -26,6 +26,7 @@ type NetworkState struct {
 type endpointState struct {
 	addr   Addr
 	stats  Stats
+	head   int // ring slot of the oldest queued packet
 	queued []packetState
 }
 
@@ -70,6 +71,7 @@ func (n *Network) SnapshotInto(st *NetworkState) {
 		es := &st.endpoints[len(st.endpoints)-1]
 		es.addr = ep.addr
 		es.stats = ep.stats
+		es.head = ep.head
 		es.queued = es.queued[:0]
 		for i := 0; i < ep.count; i++ {
 			slot := ep.head + i
@@ -109,13 +111,29 @@ func (n *Network) SnapshotInto(st *NetworkState) {
 	}
 }
 
-// RestoreFrom rewinds the network to a captured state. The network
-// must carry the same topology as the capture source (same scenario,
-// same Binds and Limits); a missing endpoint or bucket panics. Queued
-// and in-flight payloads are re-materialized from the pool, so the
+// RestoreFrom rewinds the network to a captured state, keeping every
+// endpoint, limit, route cache, and pooled buffer. The network must
+// carry the same topology as the capture source (same scenario, same
+// Binds and Limits); a mismatched endpoint or bucket set panics. The
+// network's own in-flight, queued, and lent payloads return to the
+// pool first; the captured ones are re-materialized from it, so the
 // state remains valid for further restores.
 func (n *Network) RestoreFrom(st *NetworkState) {
-	n.Reset()
+	if len(st.endpoints) != len(n.endpoints) || len(st.limits) != len(n.limits) {
+		panic("netsim: RestoreFrom with mismatched topology; source and target must share a scenario")
+	}
+	for i := range n.inflight {
+		n.putBuf(n.inflight[i].pkt.Payload)
+		n.inflight[i] = flight{}
+	}
+	for _, ep := range n.endpoints {
+		ep.recycle()
+		for ep.count > 0 {
+			n.putBuf(ep.pop().Payload)
+		}
+		ep.drain = ep.drain[:0]
+	}
+	clear(n.partitions)
 	n.now = st.now
 	n.link = st.link
 
@@ -125,16 +143,16 @@ func (n *Network) RestoreFrom(st *NetworkState) {
 		if ep == nil {
 			panic("netsim: RestoreFrom onto a network missing endpoint " + es.addr.String())
 		}
-		ep.stats = es.stats
-		ep.head = 0
-		ep.count = len(es.queued)
-		if ep.count > len(ep.ring) {
+		if len(es.queued) > len(ep.ring) {
 			panic("netsim: RestoreFrom queue exceeds ring capacity at " + es.addr.String())
 		}
+		ep.stats = es.stats
+		ep.head = es.head
+		ep.count = len(es.queued)
 		for j := range es.queued {
 			ps := &es.queued[j]
 			buf := append(n.getBuf(len(ps.payload)), ps.payload...)
-			ep.ring[j] = Packet{Src: ps.src, Dst: ps.dst, Payload: buf, SentAt: ps.sentAt, ep: ep}
+			ep.ring[(es.head+j)%len(ep.ring)] = Packet{Src: ps.src, Dst: ps.dst, Payload: buf, SentAt: ps.sentAt, ep: ep}
 		}
 	}
 

@@ -94,25 +94,6 @@ func NewQuad(p Params) *Quad {
 	return q
 }
 
-// Reset rewinds the vehicle to a fresh NewQuad at the origin: level,
-// at rest, rotors healthy and stopped, crash state and disturbances
-// cleared. The rotors' memoized lag coefficients survive (they are a
-// pure function of dt and the time constant).
-func (q *Quad) Reset() {
-	q.State = State{Attitude: IdentityQuat()}
-	for i := range q.Rotors {
-		r := &q.Rotors[i]
-		r.command = 0
-		r.throttle = 0
-		r.thrustLoss = 0
-	}
-	q.crashed = false
-	q.crashTime = 0
-	q.disturb = Vec3{}
-	q.disturbTrq = Vec3{}
-	q.elapsed = 0
-}
-
 // SetMotors applies normalized throttle commands to the four rotors.
 func (q *Quad) SetMotors(u [4]float64) {
 	for i := range q.Rotors {

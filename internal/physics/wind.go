@@ -25,14 +25,6 @@ func NewWind(mean, gust, period float64, norm func() float64) *Wind {
 	return &Wind{MeanForce: mean, GustForce: gust, Period: period, noise: norm}
 }
 
-// Reset clears the filtered gust state and rewinds the gust clock,
-// returning the model to its just-built state (the noise source is
-// external and is reseeded by the caller).
-func (w *Wind) Reset() {
-	w.state = Vec3{}
-	w.t = 0
-}
-
 // WindState is a snapshot of the model's dynamic state; the noise
 // source stays with its owner (its RNG stream is captured separately).
 type WindState struct {

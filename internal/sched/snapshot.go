@@ -78,16 +78,30 @@ func (c *CPU) SnapshotInto(st *CPUState) {
 	}
 }
 
-// RestoreFrom rewinds the scheduler to a captured state: Reset back to
-// the checkpointed task set, then overlay each task's captured job
-// state positionally onto this scheduler's own Task objects. The
-// scheduler must be built from the same scenario as the capture source
-// (same task registration order).
+// RestoreFrom rewinds the scheduler to a captured state: back to the
+// checkpointed task set (mid-run arrivals dropped, mid-run removals
+// restored), then each task's captured job state overlaid positionally
+// onto this scheduler's own Task objects. The scheduler must be built
+// from the same scenario as the capture source (same task
+// registration order). RestoreFrom does not allocate at steady state:
+// the per-core slices are truncated and refilled in place.
 func (c *CPU) RestoreFrom(st *CPUState) {
-	c.Reset()
-	if len(c.tasks) != len(st.tasks) {
+	if c.snapshot == nil {
+		panic("sched: RestoreFrom without Checkpoint")
+	}
+	if len(c.snapshot) != len(st.tasks) {
 		panic("sched: RestoreFrom with mismatched task set; source and target must share a scenario")
 	}
+	clear(c.tasks)
+	c.tasks = append(c.tasks[:0], c.snapshot...)
+	for core := range c.byCore {
+		clear(c.byCore[core])
+		c.byCore[core] = c.byCore[core][:0]
+	}
+	clear(c.busy)
+	c.busy = c.busy[:0]
+	clear(c.periodic)
+	c.periodic = c.periodic[:0]
 	c.activeCount = 0
 	for i, t := range c.tasks {
 		ts := &st.tasks[i]
@@ -100,11 +114,24 @@ func (c *CPU) RestoreFrom(st *CPUState) {
 		if t.active {
 			c.activeCount++
 		}
+		c.byCore[t.Core] = append(c.byCore[t.Core], t)
+		if t.Busy() {
+			c.busy = append(c.busy, t)
+		} else {
+			c.periodic = append(c.periodic, t)
+		}
 	}
 	copy(c.idle, st.idle)
 	copy(c.busyT, st.busyT)
 	c.nextDue = st.nextDue
 	c.now = st.now
-	// Reset left every core dirty with no incumbent: the next Tick
-	// re-picks each winner from the restored ready set.
+	// Every core is left dirty with no incumbent: the next Tick re-picks
+	// each winner from the restored ready set.
+	c.dirtyCount = 0
+	for i := range c.dirty {
+		c.dirty[i] = true
+		c.dirtyCount++
+		c.running[i] = nil
+		c.demand[i] = 0
+	}
 }

@@ -87,21 +87,6 @@ func (s TaskStats) MissRate() float64 {
 // Stats returns a copy of the task's counters.
 func (t *Task) Stats() TaskStats { return t.stats }
 
-// resetSched rewinds the task to the state of a freshly Added task at
-// time zero: inactive, zero-phase releases, clean statistics.
-func (t *Task) resetSched(seq int) {
-	t.active = false
-	t.remaining = 0
-	t.releaseTime = 0
-	t.nextRelease = 0
-	t.stats = TaskStats{}
-	t.seq = seq
-}
-
-// ResetStats clears the task's counters (used between experiment
-// phases to measure attack windows in isolation).
-func (t *Task) ResetStats() { t.stats = TaskStats{} }
-
 // Busy reports whether this is a busy-loop task.
 func (t *Task) Busy() bool { return t.Period <= 0 }
 

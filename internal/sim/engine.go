@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"sort"
@@ -38,27 +37,13 @@ func procLess(a, b *procEntry) bool {
 	return a.order < b.order
 }
 
-// procHeap is a min-heap of slow (period > 1 tick) processes keyed by
-// (next fire tick, priority, order), so popping the due entries of a
-// tick yields them already in execution order.
-type procHeap []*procEntry
-
-func (h procHeap) Len() int { return len(h) }
-func (h procHeap) Less(i, j int) bool {
-	if h[i].next != h[j].next {
-		return h[i].next < h[j].next
+// firesBefore orders slow processes by (next fire tick, priority,
+// order): the order their invocations happen in.
+func firesBefore(a, b *procEntry) bool {
+	if a.next != b.next {
+		return a.next < b.next
 	}
-	return procLess(h[i], h[j])
-}
-func (h procHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *procHeap) Push(x interface{}) { *h = append(*h, x.(*procEntry)) }
-func (h *procHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return x
+	return procLess(a, b)
 }
 
 // oneShot is a scheduled callback; seq keeps same-tick callbacks in
@@ -69,53 +54,39 @@ type oneShot struct {
 	fn   func(now time.Duration)
 }
 
-type oneShotHeap []oneShot
-
-func (h oneShotHeap) Len() int { return len(h) }
-func (h oneShotHeap) Less(i, j int) bool {
-	if h[i].tick != h[j].tick {
-		return h[i].tick < h[j].tick
-	}
-	return h[i].seq < h[j].seq
-}
-func (h oneShotHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *oneShotHeap) Push(x interface{}) { *h = append(*h, x.(oneShot)) }
-func (h *oneShotHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	old[n-1].fn = nil
-	*h = old[:n-1]
-	return x
-}
-
 // Engine drives the simulation: it owns the clock and invokes every
 // registered periodic process at its period, in deterministic order
 // (priority, then registration order) within a tick.
 //
 // The hot loop is schedule-driven rather than scan-driven: every-tick
 // processes live in a dedicated slice that runs unconditionally, and
-// slower processes wait in a min-heap keyed by their precomputed next
+// slower processes wait in a schedule keyed by their precomputed next
 // fire tick — so a tick costs O(every-tick procs + procs actually
 // due), with no per-proc modulo arithmetic and no map lookup for
-// one-shot callbacks (they wait in their own min-heap). At campaign
+// one-shot callbacks (they wait in their own schedule). At campaign
 // scale (thousands of 10 kHz runs) this is the single hottest loop in
 // the codebase.
+//
+// Both schedules are slices sorted latest-first, so the next entry due
+// is the last one and firing it is a truncation. Unlike a heap, a
+// sorted schedule of the same entries always has the same layout, so
+// an engine Sought to tick T equals, field for field, one that ran to
+// T (TestStateComplete in internal/core relies on this).
 type Engine struct {
 	clock     Clock
 	procs     []*procEntry // every registration, in registration order
 	everyTick []*procEntry // period == 1, sorted (priority, order)
-	slow      procHeap     // period > 1, keyed by next fire tick
+	slow      []*procEntry // period > 1, latest fire first
 	due       []*procEntry // per-Step scratch, reused across ticks
-	oneShots  oneShotHeap
+	oneShots  []oneShot    // latest (tick, seq) first
 	seq       int64
 	stopped   bool
 
-	// Checkpoint state for Reset: the one-shot schedule and per-proc
-	// enabled flags as they stood when Checkpoint was called.
-	chkOneShots oneShotHeap
+	// The schedule Checkpoint recorded: the one-shots, their sequence
+	// counter, and the tick-zero state Seek rewinds to.
+	chkOneShots []oneShot
 	chkSeq      int64
-	chkEnabled  []bool
+	chk         EngineState
 	chkValid    bool
 }
 
@@ -161,7 +132,7 @@ func (e *Engine) Register(name string, period time.Duration, priority int, p Pro
 			return procLess(e.everyTick[i], e.everyTick[j])
 		})
 	} else {
-		heap.Push(&e.slow, ent)
+		e.insertSlow(ent)
 	}
 	return Handle{ent: ent}
 }
@@ -200,7 +171,23 @@ func (e *Engine) At(t time.Duration, f func(now time.Duration)) {
 
 func (e *Engine) pushOneShot(tick int64, f func(now time.Duration)) {
 	e.seq++
-	heap.Push(&e.oneShots, oneShot{tick: tick, seq: e.seq, fn: f})
+	// The new callback fires after every one already due at its tick.
+	i := len(e.oneShots)
+	e.oneShots = append(e.oneShots, oneShot{})
+	for ; i > 0 && e.oneShots[i-1].tick <= tick; i-- {
+		e.oneShots[i] = e.oneShots[i-1]
+	}
+	e.oneShots[i] = oneShot{tick: tick, seq: e.seq, fn: f}
+}
+
+// insertSlow files a slow process into the latest-first schedule.
+func (e *Engine) insertSlow(p *procEntry) {
+	i := len(e.slow)
+	e.slow = append(e.slow, p)
+	for ; i > 0 && firesBefore(e.slow[i-1], p); i-- {
+		e.slow[i] = e.slow[i-1]
+	}
+	e.slow[i] = p
 }
 
 // Stop ends the run at the end of the current tick.
@@ -216,14 +203,15 @@ func (e *Engine) Step() {
 	now := e.clock.Now()
 	tick := e.clock.Ticks()
 
-	// Collect the slow processes due this tick. Heap pops arrive in
-	// (priority, order) order because their next-fire keys are equal.
-	// The <= guards against a process registered mid-tick whose first
-	// fire landed on the tick being stepped: it runs one tick late
-	// instead of stalling the heap head forever.
+	// Collect the slow processes due this tick, off the schedule's
+	// tail in (priority, order) order because their next-fire keys are
+	// equal. The <= guards against a process registered mid-tick whose
+	// first fire landed on the tick being stepped: it runs one tick late
+	// instead of stalling the schedule forever.
 	e.due = e.due[:0]
-	for len(e.slow) > 0 && e.slow[0].next <= tick {
-		e.due = append(e.due, heap.Pop(&e.slow).(*procEntry))
+	for n := len(e.slow); n > 0 && e.slow[n-1].next <= tick; n-- {
+		e.due = append(e.due, e.slow[n-1])
+		e.slow = e.slow[:n-1]
 	}
 
 	// Merge the always-due fast list with the due slow list, both
@@ -260,22 +248,26 @@ func (e *Engine) Step() {
 	for _, p := range e.due {
 		for p.next += p.period; p.next <= tick; p.next += p.period {
 		}
-		heap.Push(&e.slow, p)
+		e.insertSlow(p)
 	}
 
 	// One-shots due now, including any scheduled for this tick by the
 	// processes (or one-shots) above.
-	for len(e.oneShots) > 0 && e.oneShots[0].tick <= tick {
-		f := heap.Pop(&e.oneShots).(oneShot)
-		f.fn(now)
+	for n := len(e.oneShots); n > 0 && e.oneShots[n-1].tick <= tick; n = len(e.oneShots) {
+		fn := e.oneShots[n-1].fn
+		e.oneShots[n-1].fn = nil
+		e.oneShots = e.oneShots[:n-1]
+		fn(now)
 	}
 	e.clock.Advance()
 }
 
 // Checkpoint records the engine's schedule — the pending one-shot
-// callbacks and every process's enabled flag — so Reset can rewind to
-// it. Call it once at the end of scenario construction, after every
-// Register/At of the build phase; the clock must still be at zero.
+// callbacks and every process's enabled flag — so Seek can rewind to
+// it. Call it at the end of scenario construction, after every
+// Register/At of the build phase; the clock must still be at zero. A
+// later Checkpoint (still at tick zero) replaces the recorded schedule,
+// so processes registered after construction can join it.
 //
 // Checkpoint is what makes an Engine reusable across campaign runs:
 // one-shots are consumed as they fire, so without a recorded schedule
@@ -287,15 +279,17 @@ func (e *Engine) Checkpoint() {
 	}
 	e.chkOneShots = append(e.chkOneShots[:0], e.oneShots...)
 	e.chkSeq = e.seq
-	if e.chkEnabled == nil {
-		e.chkEnabled = make([]bool, 0, len(e.procs))
-	}
-	e.chkEnabled = e.chkEnabled[:0]
+	e.chk = EngineState{enabled: e.chk.enabled[:0]}
 	for _, ent := range e.procs {
-		e.chkEnabled = append(e.chkEnabled, ent.enabled)
+		e.chk.enabled = append(e.chk.enabled, ent.enabled)
 	}
 	e.chkValid = true
 }
+
+// Checkpointed returns the tick-zero state the latest Checkpoint
+// recorded; Seek(e.Checkpointed()) rewinds the engine to it. The state
+// is owned by the engine and must not be modified.
+func (e *Engine) Checkpointed() *EngineState { return &e.chk }
 
 // EngineState is the engine's contribution to a mid-run snapshot: the
 // clock position, the stop flag, and every process's enabled flag at
@@ -384,29 +378,29 @@ func (e *Engine) Seek(st *EngineState) {
 	}
 	e.clock = Clock{ticks: st.tick}
 	e.stopped = st.stopped
-	// Re-arm the not-yet-due one-shots. The filtered subset of a heap is
-	// not itself heap-ordered, so re-init.
+	// Re-arm the not-yet-due one-shots; a filtered sorted schedule is
+	// still sorted.
+	clear(e.oneShots)
 	e.oneShots = e.oneShots[:0]
 	for _, os := range e.chkOneShots {
 		if os.tick >= st.tick {
 			e.oneShots = append(e.oneShots, os)
 		}
 	}
-	heap.Init(&e.oneShots)
 	e.seq = e.chkSeq
-	// Re-phase every process: after stepping ticks [0, T), the next fire
-	// of a period-p process is the smallest multiple of p that is >= T
-	// (phase advances even while disabled, so this holds for disabled
-	// processes too).
+	// Re-phase every slow process: after stepping ticks [0, T), the next
+	// fire of a period-p process is the smallest multiple of p that is
+	// >= T (phase advances even while disabled, so this holds for
+	// disabled processes too). Every-tick processes keep the next fire
+	// Register gave them; Step never reads it.
 	e.slow = e.slow[:0]
 	for i, ent := range e.procs {
 		ent.enabled = st.enabled[i]
-		ent.next = ((st.tick + ent.period - 1) / ent.period) * ent.period
 		if ent.period > 1 {
-			e.slow = append(e.slow, ent)
+			ent.next = ((st.tick + ent.period - 1) / ent.period) * ent.period
+			e.insertSlow(ent)
 		}
 	}
-	heap.Init(&e.slow)
 	e.due = e.due[:0]
 }
 
@@ -428,37 +422,6 @@ func (e *Engine) RunToTickContext(ctx context.Context, end int64) error {
 		e.Step()
 	}
 	return nil
-}
-
-// Reset rewinds the engine to its Checkpoint: time zero, the recorded
-// one-shot schedule, every process re-phased to its zero-phase next
-// fire and restored to its checkpointed enabled state. Registered
-// processes are kept — their closures are expected to read per-run
-// state that the caller resets separately. Reset never allocates at
-// steady state (the restored heaps reuse the engine's buffers).
-func (e *Engine) Reset() {
-	if !e.chkValid {
-		panic("sim: Reset without Checkpoint")
-	}
-	e.clock = Clock{}
-	e.stopped = false
-	// Restore the one-shot schedule. The checkpoint copy is itself a
-	// valid heap (heap order is preserved by append-copy), so no re-init
-	// is needed.
-	e.oneShots = append(e.oneShots[:0], e.chkOneShots...)
-	e.seq = e.chkSeq
-	// Re-phase every process: at tick zero the zero-phase next fire is
-	// tick zero for every period.
-	e.slow = e.slow[:0]
-	for i, ent := range e.procs {
-		ent.enabled = e.chkEnabled[i]
-		ent.next = 0
-		if ent.period > 1 {
-			e.slow = append(e.slow, ent)
-		}
-	}
-	heap.Init(&e.slow)
-	e.due = e.due[:0]
 }
 
 // Run advances the simulation for the given duration or until Stop.

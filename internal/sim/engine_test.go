@@ -182,11 +182,11 @@ func TestEngineTwoRatesAlign(t *testing.T) {
 	}
 }
 
-// TestEngineCheckpointReset pins the rewind contract the warm-pool
+// TestEngineCheckpointSeek pins the rewind contract the warm-pool
 // campaign rests on: after Checkpoint, any number of runs followed by
-// Reset replays the identical schedule — periodic phases, one-shot
-// firings, and enabled flags all restored.
-func TestEngineCheckpointReset(t *testing.T) {
+// Seek to the checkpointed state replays the identical schedule —
+// periodic phases, one-shot firings, and enabled flags all restored.
+func TestEngineCheckpointSeek(t *testing.T) {
 	e := NewEngine()
 	var log []string
 	record := func(name string) ProcFunc {
@@ -212,24 +212,25 @@ func TestEngineCheckpointReset(t *testing.T) {
 	if len(first) == 0 {
 		t.Fatal("no events recorded")
 	}
-	e.Reset()
+	e.Seek(e.Checkpointed())
 	second := run()
 	if fmt.Sprint(first) != fmt.Sprint(second) {
-		t.Fatalf("replay after Reset diverged:\n first: %v\n second: %v", first, second)
+		t.Fatalf("replay after Seek diverged:\n first: %v\n second: %v", first, second)
 	}
-	// A third cycle catches state that survives exactly one reset.
-	e.Reset()
+	// A third cycle catches state that survives exactly one rewind.
+	e.Seek(e.Checkpointed())
 	if third := run(); fmt.Sprint(first) != fmt.Sprint(third) {
-		t.Fatalf("second Reset diverged:\n first: %v\n third: %v", first, third)
+		t.Fatalf("second Seek diverged:\n first: %v\n third: %v", first, third)
 	}
 }
 
-// TestEngineResetWithoutCheckpointPanics pins the misuse guard.
-func TestEngineResetWithoutCheckpointPanics(t *testing.T) {
+// TestEngineSeekWithoutCheckpointPanics pins the misuse guard.
+func TestEngineSeekWithoutCheckpointPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Reset without Checkpoint did not panic")
+			t.Fatal("Seek without Checkpoint did not panic")
 		}
 	}()
-	NewEngine().Reset()
+	e := NewEngine()
+	e.Seek(e.Checkpointed())
 }

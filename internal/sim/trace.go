@@ -45,14 +45,6 @@ func (t *Trace) Add(now time.Duration, source, format string, args ...any) {
 	t.events = append(t.events, ev)
 }
 
-// Reset empties the trace in place, keeping its capacity and backing
-// storage for the next run.
-func (t *Trace) Reset() {
-	clear(t.events)
-	t.events = t.events[:0]
-	t.drops = 0
-}
-
 // CopyInto deep-copies the trace's retained events and drop count into
 // dst, reusing dst's backing storage. Used for snapshots: src and dst
 // share no memory afterwards.
@@ -64,6 +56,7 @@ func (t *Trace) CopyInto(dst *Trace) {
 // RestoreFrom rewinds the trace to a snapshot taken with CopyInto,
 // keeping the trace's own capacity and backing storage.
 func (t *Trace) RestoreFrom(snap *Trace) {
+	clear(t.events) // drop the rewound events' strings
 	t.events = append(t.events[:0], snap.events...)
 	t.drops = snap.drops
 }

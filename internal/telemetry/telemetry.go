@@ -48,14 +48,6 @@ func NewFlightLogCap(n int) *FlightLog {
 // Add appends a sample.
 func (l *FlightLog) Add(s Sample) { l.samples = append(l.samples, s) }
 
-// Reset empties the log in place, keeping its capacity, and clears the
-// crash mark — the warm-pool campaign's per-run rewind.
-func (l *FlightLog) Reset() {
-	l.samples = l.samples[:0]
-	l.crashed = false
-	l.crashAt = 0
-}
-
 // LogState is a deep snapshot of a flight log: the samples recorded so
 // far and the crash mark. The zero value is ready for SnapshotInto,
 // which reuses its sample buffer across captures.

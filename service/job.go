@@ -118,26 +118,32 @@ func (j *job) finish(res *containerdrone.CampaignResult, runErr error, canceled 
 	}
 	j.finished = time.Now()
 	j.result = res
-	switch {
-	case runErr == nil:
-		j.status = StatusDone
-	case canceled:
-		j.status = StatusCanceled
+	j.status = terminalStatus(res, runErr, canceled)
+	if runErr != nil {
 		j.err = runErr.Error()
-		j.partial = true
-	case res != nil:
-		// A campaign that returned records but also an error was cut
-		// short (deadline); the result is usable but partial.
-		j.status = StatusDone
-		j.err = runErr.Error()
-		j.partial = true
-	default:
-		j.status = StatusFailed
-		j.err = runErr.Error()
+		// A canceled job, or one cut short by its deadline with records
+		// in hand, keeps a usable but partial result.
+		j.partial = j.status != StatusFailed
 	}
 	j.signal()
 	close(j.done)
 	j.mu.Unlock()
+}
+
+// terminalStatus is the status a run's outcome settles a job in. A
+// campaign that returned records but also an error was cut short
+// (deadline): it is done, with a partial result.
+func terminalStatus(res *containerdrone.CampaignResult, runErr error, canceled bool) string {
+	switch {
+	case runErr == nil:
+		return StatusDone
+	case canceled:
+		return StatusCanceled
+	case res != nil:
+		return StatusDone
+	default:
+		return StatusFailed
+	}
 }
 
 // terminal reports whether the job has finished, failed, or been

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"containerdrone"
@@ -70,10 +71,15 @@ func (r *CampaignRequest) Validate() error {
 	if r.Parallel < 0 {
 		return fmt.Errorf("negative parallel %d", r.Parallel)
 	}
+	seen := make(map[string]bool, len(r.Sweeps))
 	for _, sw := range r.Sweeps {
 		if sw.Key == "" || len(sw.Values) == 0 {
 			return fmt.Errorf("sweep with empty key or value grid")
 		}
+		if seen[sw.Key] {
+			return fmt.Errorf("duplicate sweep key %q", sw.Key)
+		}
+		seen[sw.Key] = true
 	}
 	// Probe-build the first grid cell: resolves the scenario through
 	// the registry and applies every param key (base params and sweep
@@ -94,22 +100,33 @@ func (r *CampaignRequest) Validate() error {
 	return err
 }
 
-// Points returns the grid size of the request (sweep cartesian).
+// Points returns the grid size of the request (sweep cartesian). A
+// grid too large for an int reports math.MaxInt rather than wrapping,
+// so no size cap can be slipped under by overflow.
 func (r *CampaignRequest) Points() int {
 	n := 1
 	for _, sw := range r.Sweeps {
-		n *= len(sw.Values)
+		w := len(sw.Values)
+		if w > 0 && n > math.MaxInt/w {
+			return math.MaxInt
+		}
+		n *= w
 	}
 	return n
 }
 
-// TotalRuns returns points × runs-per-point.
+// TotalRuns returns points × runs-per-point, saturating at math.MaxInt
+// like Points.
 func (r *CampaignRequest) TotalRuns() int {
 	runs := r.Runs
 	if runs <= 0 {
 		runs = 1
 	}
-	return r.Points() * runs
+	p := r.Points()
+	if p > math.MaxInt/runs {
+		return math.MaxInt
+	}
+	return p * runs
 }
 
 // options lowers the request onto the SDK campaign options, with the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -111,6 +112,9 @@ func TestValidateCatchesBadRequests(t *testing.T) {
 			r.Sweeps = []containerdrone.Sweep{{Key: "attack.rate"}}
 		}, "sweep"},
 		{"negative runs", func(r *CampaignRequest) { r.Runs = -1 }, "runs"},
+		{"duplicate sweep key", func(r *CampaignRequest) {
+			r.Sweeps = append(r.Sweeps, containerdrone.Sweep{Key: r.Sweeps[0].Key, Values: []float64{1, 2}})
+		}, "duplicate sweep key"},
 	}
 	for _, tc := range cases {
 		req := sampleRequest()
@@ -134,5 +138,27 @@ func TestTotalRuns(t *testing.T) {
 	minimal := CampaignRequest{SchemaVersion: SchemaVersion, Scenario: "baseline"}
 	if got := minimal.TotalRuns(); got != 1 {
 		t.Fatalf("minimal TotalRuns = %d, want 1", got)
+	}
+}
+
+// TestGridSizeSaturates pins the overflow guard: 64 two-value sweeps
+// are a 2^64-point grid, which plain int multiplication wraps to 0.
+// Points and TotalRuns must saturate instead, and so must TotalRuns
+// when the runs multiplier is what overflows.
+func TestGridSizeSaturates(t *testing.T) {
+	req := CampaignRequest{SchemaVersion: SchemaVersion, Scenario: "baseline"}
+	for i := 0; i < 64; i++ {
+		req.Sweeps = append(req.Sweeps, containerdrone.Sweep{Key: "attack.rate", Values: []float64{1, 2}})
+	}
+	if got := req.Points(); got != math.MaxInt {
+		t.Fatalf("Points = %d, want math.MaxInt", got)
+	}
+	if got := req.TotalRuns(); got != math.MaxInt {
+		t.Fatalf("TotalRuns = %d, want math.MaxInt", got)
+	}
+	req.Sweeps = req.Sweeps[:40] // 2^40 points
+	req.Runs = 1 << 30
+	if got := req.TotalRuns(); got != math.MaxInt {
+		t.Fatalf("TotalRuns of 2^40 points x 2^30 runs = %d, want math.MaxInt", got)
 	}
 }

@@ -461,8 +461,7 @@ func (s *Server) runJob(j *job) {
 	if err := j.ctx.Err(); err != nil {
 		// Canceled while queued (DELETE, or a drain deadline forcing
 		// the base context): never started, no result.
-		j.finish(nil, err, true)
-		s.retire(j)
+		s.settle(j, nil, err, true)
 		return
 	}
 	j.start()
@@ -488,13 +487,21 @@ func (s *Server) runJob(j *job) {
 	}
 	opts := append(j.req.options(parallel), containerdrone.WithRecordObserver(j.emit))
 	res, err := containerdrone.NewCampaign(j.req.Scenario, opts...).Run(ctx)
-	j.finish(res, err, errors.Is(err, context.Canceled))
-	s.retire(j)
+	s.settle(j, res, err, errors.Is(err, context.Canceled))
 }
 
-// retire settles a terminal job: quota slot back, journal settlement,
-// counters, latency observation, retention eviction.
-func (s *Server) retire(j *job) {
+// settle retires a job's run and then moves the job to its terminal
+// state. Retiring first means a client woken by the terminal status
+// already sees the job in /metrics and its quota slot returned.
+func (s *Server) settle(j *job, res *containerdrone.CampaignResult, runErr error, canceled bool) {
+	s.retire(j, terminalStatus(res, runErr, canceled))
+	j.finish(res, runErr, canceled)
+}
+
+// retire books a job that is about to reach the given terminal status:
+// quota slot back, journal settlement, counters, latency observation,
+// retention eviction.
+func (s *Server) retire(j *job, status string) {
 	if j.admitted {
 		// Journal-replayed jobs were admitted by a previous process and
 		// hold no slot in this one's quota table.
@@ -505,8 +512,7 @@ func (s *Server) retire(j *job) {
 		// replays after the next crash — at-least-once over losing it.
 		_ = s.journal.Done(j.id)
 	}
-	st := j.snapshot()
-	switch st.Status {
+	switch status {
 	case StatusDone:
 		s.metrics.completed.Add(1)
 	case StatusCanceled:

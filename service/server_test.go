@@ -2,8 +2,10 @@ package service
 
 import (
 	"context"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -116,6 +118,34 @@ func TestBadRequestsAre400(t *testing.T) {
 		if !ok || apiErr.StatusCode != http.StatusBadRequest {
 			t.Fatalf("request %+v: want 400, got %v", req, err)
 		}
+	}
+}
+
+// TestOverflowingGridIs400 submits a grid of sixteen distinct
+// sixteen-value sweeps: 16^16 = 2^64 points, which an unchecked
+// product wraps to 0 and so slips under MaxRunsPerJob. The request
+// must be refused at submit time instead.
+func TestOverflowingGridIs400(t *testing.T) {
+	_, cl := newTestServer(t, Config{Workers: 1, MaxRunsPerJob: 10})
+	first := map[string]float64{
+		"seed": 1, "attack.start": 5, "attack.rate": 100, "memguard.enabled": 0,
+		"memguard.budget": 1e6, "iptables.rate": 0, "iptables.burst": 10, "bus.capacity": 2e9,
+		"monitor.enabled": 1, "monitor.max-interval": 0.1, "monitor.max-attitude": 20,
+		"monitor.attitude-hold": 0.2, "monitor.arm-delay": 2, "envelope.geofence": 0,
+		"envelope.descent": 0, "envelope.hold": 0.5,
+	}
+	req := CampaignRequest{Scenario: "baseline"}
+	for _, key := range slices.Sorted(maps.Keys(first)) {
+		sw := containerdrone.Sweep{Key: key}
+		for i := 0; i < 16; i++ {
+			sw.Values = append(sw.Values, first[key]+float64(i))
+		}
+		req.Sweeps = append(req.Sweeps, sw)
+	}
+	_, err := cl.Submit(t.Context(), req)
+	apiErr, ok := err.(*APIError)
+	if !ok || apiErr.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr.Error(), "caps jobs") {
+		t.Fatalf("2^64-point grid: want 400 from the run cap, got %v", err)
 	}
 }
 
