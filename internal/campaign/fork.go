@@ -105,6 +105,14 @@ type forkPlan struct {
 // The group's forkTick is the earliest onset one-shot tick across its
 // members — every member behaves identically on [0, forkTick).
 func planPrefixGroups(spec Spec) (*forkPlan, error) {
+	if len(spec.Points) == 1 {
+		// One point can never form a fork group: validate it and skip
+		// the fingerprint.
+		if _, err := buildPoint(spec.Points[0], spec, 1); err != nil {
+			return nil, err
+		}
+		return singletonPlan(1), nil
+	}
 	plan := &forkPlan{leaderOf: make([]int, len(spec.Points))}
 	type groupKey struct {
 		scenario    string

@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -250,6 +251,24 @@ func TestPlanPrefixGroups(t *testing.T) {
 		}
 		if plan.groups[0].forkTick != 0 {
 			t.Fatalf("onset-free group qualified: %+v", plan.groups[0])
+		}
+	})
+
+	t.Run("one point plans a singleton and still validates", func(t *testing.T) {
+		spec := Spec{
+			Points: Expand("memdos", nil, nil),
+			Runs:   1, Duration: 12 * time.Second, PrefixShare: true,
+		}
+		plan, err := planPrefixGroups(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(plan, singletonPlan(1)) {
+			t.Fatalf("plan = %+v, want one unforked singleton", plan)
+		}
+		spec.Points = Expand("memdos", map[string]float64{"bogus.key": 1}, nil)
+		if _, err := planPrefixGroups(spec); err == nil || !strings.Contains(err.Error(), "bogus.key") {
+			t.Fatalf("bad one-point grid: err = %v, want the unknown-param error", err)
 		}
 	})
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -84,5 +85,51 @@ func TestWarmCampaignRunAllocs(t *testing.T) {
 	flood.Attack.Start = 500 * time.Millisecond
 	if allocs := warmRunAllocs(t, flood); allocs > 64 {
 		t.Fatalf("warm flood campaign run allocates %.1f times, want <= 64", allocs)
+	}
+}
+
+// buildBytes reports the heap bytes one New of the named scenario
+// allocates, as the mean over a few builds.
+func buildBytes(t *testing.T, name string, opts Options) uint64 {
+	t.Helper()
+	cfg, err := Build(name, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const builds = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < builds; i++ {
+		if _, err := New(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / builds
+}
+
+// TestNewAllocatesOnlyTickZero pins that a cold build allocates what
+// tick 0 needs and no more: its bytes do not grow with the flight's
+// length or its telemetry rate (the flight log and the receive rings
+// grow as the flight fills them), and a flight-dos scenario builds in
+// at most 32 KiB.
+func TestNewAllocatesOnlyTickZero(t *testing.T) {
+	const slack = 4 << 10
+	same := func(what string, a, b uint64) {
+		t.Helper()
+		if max(a, b)-min(a, b) > slack {
+			t.Errorf("New allocates %d B vs %d B %s, want within %d B", a, b, what, slack)
+		}
+	}
+	same("at 30 s vs 3000 s",
+		buildBytes(t, "udpflood", Options{Duration: 30 * time.Second}),
+		buildBytes(t, "udpflood", Options{Duration: 3000 * time.Second}))
+	same("at telemetry.rate 50 vs 20000",
+		buildBytes(t, "udpflood", Options{Params: map[string]float64{"telemetry.rate": 50}}),
+		buildBytes(t, "udpflood", Options{Params: map[string]float64{"telemetry.rate": 20000}}))
+	for _, sc := range []string{"cpuhog", "memdos", "udpflood", "kill"} {
+		if b := buildBytes(t, sc, Options{}); b > 32<<10 {
+			t.Errorf("%s: New allocates %d B, want <= %d", sc, b, 32<<10)
+		}
 	}
 }

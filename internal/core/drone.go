@@ -159,15 +159,11 @@ func (s *System) comp(idx int, name string) string {
 // streams from it in member order, after the shared fabric stream.
 func newDrone(s *System, idx int, rng *sim.RNG) (*Drone, error) {
 	cfg := s.Cfg
-	logCap := 0
-	if cfg.TelemetryRate > 0 {
-		logCap = int(cfg.Duration.Seconds()*cfg.TelemetryRate) + 1
-	}
 	d := &Drone{
 		sys:      s,
 		idx:      idx,
 		hostName: memberHost(idx),
-		Log:      telemetry.NewFlightLogCap(logCap),
+		Log:      telemetry.NewFlightLog(),
 		streams:  make(map[string]*StreamStat),
 	}
 	d.compMonitor = s.comp(idx, "monitor")

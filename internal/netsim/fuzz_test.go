@@ -13,10 +13,13 @@ import (
 // arbitrary op script and checks it against a reference model: every
 // payload handed out must match, byte for byte, what was sent — in
 // FIFO order, with queue-full drops accounted — no matter how sends,
-// steps, Recv, and Drain interleave. This is the layer PR 3 rewrote
-// onto free lists and fixed rings; the fuzzer hunts for recycling
-// bugs (a pooled buffer handed out twice, a drop that leaks, a ring
-// wrap that reorders) that a fixed test sequence would never hit.
+// steps, Recv, and Drain interleave. This layer recycles payloads
+// through free lists and grows rings on demand; the fuzzer hunts for
+// recycling bugs (a pooled buffer handed out twice, a drop that leaks,
+// a ring wrap that reorders, a ring doubling that loses or reorders
+// the wrapped packets) that a fixed test sequence would never hit. The
+// queue capacity is fuzzed too (1 + depth%32), on both sides of the
+// ring's initial size, so growth at every head position is in reach.
 func FuzzRecv(f *testing.F) {
 	// Seed corpus: captured MAVLink frames as payload material (the
 	// real traffic mix), plus op scripts covering each op.
@@ -30,15 +33,23 @@ func FuzzRecv(f *testing.F) {
 		MsgID:   mavlink.MsgIDIMU,
 		Payload: mavlink.EncodeIMU(sensors.IMUReading{TimeUS: 12_500_000}),
 	})
-	f.Add([]byte{0, 1, 2, 0, 0, 1, 3, 0, 1, 2, 2, 3}, motor)
-	f.Add([]byte{0, 0, 0, 0, 0, 1, 3}, imu)
-	f.Add(bytes.Repeat([]byte{0, 1, 2}, 40), motor)
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 3, 3, 2}, []byte{0xA5})
-	f.Fuzz(func(t *testing.T, script, payload []byte) {
+	f.Add([]byte{0, 1, 2, 0, 0, 1, 3, 0, 1, 2, 2, 3}, motor, uint8(3))
+	f.Add([]byte{0, 0, 0, 0, 0, 1, 3}, imu, uint8(3))
+	f.Add(bytes.Repeat([]byte{0, 1, 2}, 40), motor, uint8(3))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 3, 3, 2}, []byte{0xA5}, uint8(3))
+	// Queues deeper than the initial ring: move head off slot 0, then
+	// overfill so the ring doubles (8 → 16 → 20) while wrapped and
+	// finally drops at capacity.
+	wrapFill := append([]byte{0, 0, 0, 0, 0, 1, 2, 2, 2}, bytes.Repeat([]byte{0}, 30)...)
+	wrapFill = append(wrapFill, 1, 2, 2, 0, 0, 1, 3)
+	f.Add(wrapFill, motor, uint8(19))
+	f.Add(bytes.Repeat([]byte{0, 0, 0, 1, 2}, 30), imu, uint8(19))
+	f.Add(bytes.Repeat([]byte{0, 0, 1, 2}, 30), motor, uint8(31))
+	f.Fuzz(func(t *testing.T, script, payload []byte, depth uint8) {
 		if len(payload) == 0 {
 			payload = []byte{0}
 		}
-		const queueCap = 4
+		queueCap := 1 + int(depth%32)
 		n := New(nil, nil)
 		src := Addr{Host: "a", Port: 1}
 		dst := Addr{Host: "b", Port: 2}
@@ -139,7 +150,7 @@ func FuzzRecv(f *testing.F) {
 // survive interleaved delivery. Each op byte's high bits pick the
 // member, low bits the op, so the corpus drives asymmetric loads
 // (one member flooded while another drains) the single-endpoint
-// fuzzer cannot express.
+// fuzzer cannot express. The queue capacity is fuzzed as in FuzzRecv.
 func FuzzRecvMultiEndpoint(f *testing.F) {
 	motor := mavlink.Encode(mavlink.Frame{
 		MsgID: mavlink.MsgIDMotor,
@@ -149,18 +160,25 @@ func FuzzRecvMultiEndpoint(f *testing.F) {
 	})
 	// Round-robin across members; flood member 0 while 1 and 2 drain;
 	// deliver to all then drain in reverse member order.
-	f.Add([]byte{0x00, 0x10, 0x20, 0x03, 0x02, 0x12, 0x22}, motor)
-	f.Add([]byte{0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x13, 0x23, 0x12, 0x22}, motor)
-	f.Add([]byte{0x00, 0x10, 0x20, 0x03, 0x23, 0x13, 0x03}, []byte{0xA5, 0x5A})
-	f.Add(bytes.Repeat([]byte{0x00, 0x13, 0x20, 0x02}, 24), motor)
-	f.Fuzz(func(t *testing.T, script, payload []byte) {
+	f.Add([]byte{0x00, 0x10, 0x20, 0x03, 0x02, 0x12, 0x22}, motor, uint8(3))
+	f.Add([]byte{0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x13, 0x23, 0x12, 0x22}, motor, uint8(3))
+	f.Add([]byte{0x00, 0x10, 0x20, 0x03, 0x23, 0x13, 0x03}, []byte{0xA5, 0x5A}, uint8(3))
+	f.Add(bytes.Repeat([]byte{0x00, 0x13, 0x20, 0x02}, 24), motor, uint8(3))
+	// Queues deeper than the initial ring: member 0's head moves off
+	// slot 0, then members 0 and 1 take 12 packets in one delivery, so
+	// both rings double (member 0's while wrapped) amid member 2's
+	// drains; the last seed fills member 1 until it drops.
+	wrapFill := []byte{0x00, 0x00, 0x00, 0x01, 0x02, 0x02, 0x02}
+	wrapFill = append(wrapFill, bytes.Repeat([]byte{0x00, 0x10, 0x20, 0x23}, 12)...)
+	wrapFill = append(wrapFill, 0x01, 0x02, 0x12, 0x03, 0x13)
+	f.Add(wrapFill, motor, uint8(19))
+	f.Add(bytes.Repeat([]byte{0x00, 0x10, 0x10, 0x01, 0x02, 0x22}, 20), motor, uint8(12))
+	f.Fuzz(func(t *testing.T, script, payload []byte, depth uint8) {
 		if len(payload) == 0 {
 			payload = []byte{0}
 		}
-		const (
-			members  = 3
-			queueCap = 4
-		)
+		const members = 3
+		queueCap := 1 + int(depth%32)
 		n := New(nil, nil)
 		src := Addr{Host: "gcs", Port: 9}
 		var eps [members]*Endpoint

@@ -7,8 +7,10 @@
 // the legitimate motor-output stream.
 //
 // The fabric is allocation-free at steady state: payload bytes live in
-// a free-list pool owned by the Network, receive queues are fixed
-// rings sized at Bind, and Drain hands out a reused scratch slice.
+// a free-list pool owned by the Network, receive queues are rings that
+// start small and double on demand up to their queue capacity (so an
+// idle endpoint costs a few slots, not its whole capacity), and Drain
+// hands out a reused scratch slice.
 //
 // # Payload ownership
 //
@@ -67,16 +69,18 @@ type Stats struct {
 	BytesDelivered int64
 }
 
-// Endpoint is a bound receive queue: a fixed-capacity ring allocated
-// once at Bind, so steady-state enqueue/dequeue never allocates and
-// never shifts queued packets.
+// Endpoint is a bound receive queue: a ring that starts at
+// initialRing slots and doubles, up to queueCap, when a delivery finds
+// it full. Enqueue/dequeue never shift queued packets, and once the
+// ring has grown to the traffic's depth they never allocate.
 type Endpoint struct {
-	addr  Addr
-	net   *Network
-	ring  []Packet // fixed ring storage, len(ring) == queue capacity
-	head  int      // index of the oldest queued packet
-	count int      // queued packets
-	stats Stats
+	addr     Addr
+	net      *Network
+	ring     []Packet // ring storage; len(ring) <= queueCap, doubling on demand
+	queueCap int      // drop threshold: a delivery to a queue this deep is dropped
+	head     int      // index of the oldest queued packet
+	count    int      // queued packets
+	stats    Stats
 
 	// handed are pool payloads lent to the application by the previous
 	// receive call; they return to the pool on the next receive call.
@@ -101,6 +105,50 @@ func (e *Endpoint) recycle() {
 		e.handed[i] = nil
 	}
 	e.handed = e.handed[:0]
+}
+
+// initialRing is the ring length Bind allocates: enough for the
+// steady-state depth of every non-flooded stream, so only a queue
+// under load grows.
+const initialRing = 8
+
+// grow doubles the ring, capped at queueCap, keeping FIFO order. The
+// caller must have checked that the ring is full and shorter than
+// queueCap. A full ring that wraps (head > 0) holds its newest packets
+// in ring[:head]; they move, in order, to the slots past the old end
+// (wrapping once more if the cap stops short), so the queue again
+// reads contiguously from head. Storage kept from before a rewind is
+// resliced; only a ring longer than any before it allocates.
+func (e *Endpoint) grow() {
+	old := len(e.ring)
+	n := min(2*old, e.queueCap)
+	if n <= cap(e.ring) {
+		e.ring = e.ring[:n] // slots past len are empty (see pop)
+	} else {
+		grown := make([]Packet, n)
+		copy(grown, e.ring)
+		e.ring = grown
+	}
+	for i := 0; i < e.head; i++ {
+		j := old + i
+		if j >= n {
+			j -= n // j < i: that slot has already moved out
+		}
+		e.ring[j] = e.ring[i]
+		e.ring[i] = Packet{}
+	}
+}
+
+// setRingLen sets an empty ring's length to n, the layout a rewind
+// restores into: it reslices within the retained capacity, allocating
+// only when the capacity is short. The slots it drops hold nothing,
+// since pop zeroes every slot it vacates.
+func (e *Endpoint) setRingLen(n int) {
+	if n <= cap(e.ring) {
+		e.ring = e.ring[:n]
+	} else {
+		e.ring = make([]Packet, n)
+	}
 }
 
 // pop removes and returns the oldest queued packet. The caller must
@@ -318,8 +366,9 @@ func (n *Network) Partitioned(src, dst string) bool {
 }
 
 // Bind creates (or returns) the endpoint for addr with the given
-// receive queue capacity, preallocating its ring storage. Rebinding
-// keeps the original capacity.
+// receive queue capacity. The ring starts at initialRing slots and
+// grows with the queue, so the capacity bounds memory without
+// committing it. Rebinding keeps the original capacity.
 func (n *Network) Bind(addr Addr, queueCap int) *Endpoint {
 	if ep, ok := n.endpoints[addr]; ok {
 		return ep
@@ -327,7 +376,7 @@ func (n *Network) Bind(addr Addr, queueCap int) *Endpoint {
 	if queueCap <= 0 {
 		queueCap = 64
 	}
-	ep := &Endpoint{addr: addr, net: n, ring: make([]Packet, queueCap)}
+	ep := &Endpoint{addr: addr, net: n, ring: make([]Packet, min(initialRing, queueCap)), queueCap: queueCap}
 	n.endpoints[addr] = ep
 	n.gen++
 	return ep
@@ -440,10 +489,13 @@ func (n *Network) Step(now time.Duration) {
 			continue
 		}
 		ep := f.pkt.ep
-		if ep.count >= len(ep.ring) {
-			ep.stats.DroppedQueue++
-			n.putBuf(f.pkt.Payload)
-			continue
+		if ep.count == len(ep.ring) {
+			if ep.count >= ep.queueCap {
+				ep.stats.DroppedQueue++
+				n.putBuf(f.pkt.Payload)
+				continue
+			}
+			ep.grow()
 		}
 		tail := ep.head + ep.count
 		if tail >= len(ep.ring) {

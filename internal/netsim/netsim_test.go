@@ -260,3 +260,80 @@ func TestDeliveryConservationProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRingGrowsAtWraparound fills a ring whose oldest packet sits
+// mid-storage (head != 0), so every fill wraps and each doubling must
+// move the newest packets out of ring[:head]. FIFO order must survive
+// 8 → 16 → 20 slots (the last doubling stops short at queueCap and
+// wraps again), and the drops once the queue is queueCap deep must
+// match a fixed ring of queueCap slots. A snapshot of the grown ring
+// then restores onto a fresh network slot for slot.
+func TestRingGrowsAtWraparound(t *testing.T) {
+	const queueCap = 20
+	n := New(nil, nil)
+	ep := n.Bind(hce, queueCap)
+	var model []byte // a fixed ring of queueCap slots, as a FIFO
+	var modelDropped int64
+	var seq byte
+	send := func(k int) {
+		for i := 0; i < k; i++ {
+			n.Send(cce, hce, []byte{seq})
+			if len(model) < queueCap {
+				model = append(model, seq)
+			} else {
+				modelDropped++
+			}
+			seq++
+		}
+		n.Step(0)
+	}
+	recv := func(k int) {
+		t.Helper()
+		for i := 0; i < k; i++ {
+			p, ok := ep.Recv()
+			if !ok || p.Payload[0] != model[0] {
+				t.Fatalf("Recv = %v %v, want FIFO head %d", p.Payload, ok, model[0])
+			}
+			model = model[1:]
+		}
+	}
+	wantRing := func(want int) {
+		t.Helper()
+		if len(ep.ring) != want || ep.head != 5 {
+			t.Fatalf("ring len %d head %d, want len %d head 5", len(ep.ring), ep.head, want)
+		}
+	}
+
+	send(5)
+	recv(5)
+	send(initialRing) // full and wrapped: slots 5..7, 0..4
+	wantRing(initialRing)
+	send(1 + 7) // the first delivery doubles the ring; the rest refill it, wrapped
+	wantRing(16)
+	send(1 + 10) // 16 → 20 slots (capped), then 3 more fit and 7 drop
+	wantRing(queueCap)
+	if st := ep.Stats(); st.DroppedQueue != modelDropped || modelDropped != 7 {
+		t.Fatalf("DroppedQueue = %d, fixed-ring model %d (want 7)", st.DroppedQueue, modelDropped)
+	}
+
+	var st NetworkState
+	n.SnapshotInto(&st)
+	fresh := New(nil, nil)
+	dst := fresh.Bind(hce, queueCap)
+	fresh.RestoreFrom(&st)
+	if len(dst.ring) != len(ep.ring) || dst.head != ep.head || dst.count != ep.count {
+		t.Fatalf("restored ring len %d head %d count %d, source %d %d %d",
+			len(dst.ring), dst.head, dst.count, len(ep.ring), ep.head, ep.count)
+	}
+	for i := range ep.ring {
+		if (ep.ring[i].Payload == nil) != (dst.ring[i].Payload == nil) ||
+			(ep.ring[i].Payload != nil && ep.ring[i].Payload[0] != dst.ring[i].Payload[0]) {
+			t.Fatalf("restored slot %d = %v, source %v", i, dst.ring[i].Payload, ep.ring[i].Payload)
+		}
+	}
+
+	recv(len(model))
+	if ep.Pending() != 0 {
+		t.Fatalf("%d packets left past the model", ep.Pending())
+	}
+}

@@ -4,11 +4,11 @@ import "time"
 
 // NetworkState is a deep mid-run snapshot of the fabric's dynamic
 // state: queued and in-flight packets (payload bytes copied out of the
-// pool), token-bucket levels, per-endpoint statistics, open partitions,
-// link parameters, and the fabric clock. Topology (endpoints, limits,
-// routes) is NOT part of the state — a snapshot restores onto a
-// network built from the same scenario, which already has the same
-// endpoints bound.
+// pool), receive-ring lengths, token-bucket levels, per-endpoint
+// statistics, open partitions, link parameters, and the fabric clock.
+// Topology (endpoints, limits, routes) is NOT part of the state — a
+// snapshot restores onto a network built from the same scenario, which
+// already has the same endpoints bound.
 //
 // Ownership: the state shares no memory with the network it was taken
 // from or any network it is restored onto; the source may keep running
@@ -26,6 +26,7 @@ type NetworkState struct {
 type endpointState struct {
 	addr   Addr
 	stats  Stats
+	ring   int // ring length, so a restore reproduces the slot layout
 	head   int // ring slot of the oldest queued packet
 	queued []packetState
 }
@@ -71,6 +72,7 @@ func (n *Network) SnapshotInto(st *NetworkState) {
 		es := &st.endpoints[len(st.endpoints)-1]
 		es.addr = ep.addr
 		es.stats = ep.stats
+		es.ring = len(ep.ring)
 		es.head = ep.head
 		es.queued = es.queued[:0]
 		for i := 0; i < ep.count; i++ {
@@ -112,12 +114,15 @@ func (n *Network) SnapshotInto(st *NetworkState) {
 }
 
 // RestoreFrom rewinds the network to a captured state, keeping every
-// endpoint, limit, route cache, and pooled buffer. The network must
-// carry the same topology as the capture source (same scenario, same
-// Binds and Limits); a mismatched endpoint or bucket set panics. The
-// network's own in-flight, queued, and lent payloads return to the
-// pool first; the captured ones are re-materialized from it, so the
-// state remains valid for further restores.
+// endpoint, limit, route cache, and pooled buffer. Each receive ring
+// is re-laid to its captured length within the storage it already
+// holds, so a rewound network matches its source slot for slot and a
+// warm run regrows nothing. The network must carry the same topology
+// as the capture source (same scenario, same Binds and Limits); a
+// mismatched endpoint or bucket set panics. The network's own
+// in-flight, queued, and lent payloads return to the pool first; the
+// captured ones are re-materialized from it, so the state remains
+// valid for further restores.
 func (n *Network) RestoreFrom(st *NetworkState) {
 	if len(st.endpoints) != len(n.endpoints) || len(st.limits) != len(n.limits) {
 		panic("netsim: RestoreFrom with mismatched topology; source and target must share a scenario")
@@ -143,9 +148,10 @@ func (n *Network) RestoreFrom(st *NetworkState) {
 		if ep == nil {
 			panic("netsim: RestoreFrom onto a network missing endpoint " + es.addr.String())
 		}
-		if len(es.queued) > len(ep.ring) {
+		if len(es.queued) > es.ring || es.ring > ep.queueCap {
 			panic("netsim: RestoreFrom queue exceeds ring capacity at " + es.addr.String())
 		}
+		ep.setRingLen(es.ring)
 		ep.stats = es.stats
 		ep.head = es.head
 		ep.count = len(es.queued)

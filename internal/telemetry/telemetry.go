@@ -36,7 +36,7 @@ type FlightLog struct {
 func NewFlightLog() *FlightLog { return &FlightLog{} }
 
 // NewFlightLogCap returns an empty log presized for n samples, so a
-// run whose sample count is known up front (duration × sample rate)
+// reader that knows its record count up front (a blackbox replay)
 // never reallocates in Add.
 func NewFlightLogCap(n int) *FlightLog {
 	if n < 0 {
@@ -45,7 +45,10 @@ func NewFlightLogCap(n int) *FlightLog {
 	return &FlightLog{samples: make([]Sample, 0, n)}
 }
 
-// Add appends a sample.
+// Add appends a sample. The log grows geometrically, so its memory
+// tracks the samples actually recorded; a log rewound by RestoreFrom
+// keeps its storage, and a warm rerun of the same flight regrows
+// nothing.
 func (l *FlightLog) Add(s Sample) { l.samples = append(l.samples, s) }
 
 // LogState is a deep snapshot of a flight log: the samples recorded so

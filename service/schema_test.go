@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -127,6 +128,23 @@ func TestValidateCatchesBadRequests(t *testing.T) {
 	req := sampleRequest()
 	if err := req.Validate(); err != nil {
 		t.Fatalf("valid request rejected: %v", err)
+	}
+}
+
+// TestValidateCostIndependentOfDuration pins that the submit-time
+// probe build, which runs inside the HTTP handler before any quota is
+// charged, does not scale with the requested flight length.
+func TestValidateCostIndependentOfDuration(t *testing.T) {
+	req := sampleRequest()
+	req.DurationS = 30000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := req.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if b := after.TotalAlloc - before.TotalAlloc; b >= 1<<20 {
+		t.Fatalf("Validate of a %v s request allocates %d B, want < 1 MiB", req.DurationS, b)
 	}
 }
 
