@@ -53,12 +53,13 @@ golden:
 golden-update:
 	$(GO) test -run TestGoldenTraces -update .
 
-# Short local fuzz pass over the decoder and the receive rings.
+# Short local fuzz pass over the decoders and the receive rings.
 fuzz:
 	$(GO) test ./internal/mavlink -run '^$$' -fuzz 'FuzzDecode$$' -fuzztime 30s
 	$(GO) test ./internal/mavlink -run '^$$' -fuzz FuzzDecodeMessages -fuzztime 15s
 	$(GO) test ./internal/netsim -run '^$$' -fuzz 'FuzzRecv$$' -fuzztime 30s
 	$(GO) test ./internal/netsim -run '^$$' -fuzz 'FuzzRecvMultiEndpoint$$' -fuzztime 30s
+	$(GO) test ./service -run '^$$' -fuzz FuzzDecodeCampaignRequest -fuzztime 30s
 
 fmt:
 	gofmt -l .

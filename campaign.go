@@ -214,7 +214,6 @@ func (c *Campaign) Run(ctx context.Context) (*CampaignResult, error) {
 			PrefixShareRatio: stats.PrefixShareRatio(),
 			RunsFailed:       stats.RunsFailed,
 			RunsPanicked:     stats.RunsPanicked,
-			RunsRetried:      stats.RunsRetried,
 		},
 	}
 	for _, r := range records {
@@ -256,9 +255,6 @@ type Record struct {
 	// quarantined — the failure record is final, never retried. Err
 	// carries the panic value and Stack the goroutine stack.
 	Panicked bool `json:"panicked,omitempty"`
-	// Retries counts re-executions after transient failures; 0 for
-	// first-attempt outcomes.
-	Retries int `json:"retries,omitempty"`
 	// Stack is the recovered panic's goroutine stack (JSON only; the
 	// records CSV omits it).
 	Stack string `json:"stack,omitempty"`
@@ -283,10 +279,8 @@ type Aggregate struct {
 	Runs   int    `json:"runs"`
 	Errors int    `json:"errors,omitempty"`
 	// Panics counts the quarantined subset of Errors (recovered worker
-	// panics); Retried counts transient re-executions behind the
-	// point's final run outcomes.
-	Panics  int `json:"panics,omitempty"`
-	Retried int `json:"retried_runs,omitempty"`
+	// panics).
+	Panics int `json:"panics,omitempty"`
 
 	Crashes   int     `json:"crashes"`
 	CrashRate float64 `json:"crash_rate"`
@@ -310,7 +304,7 @@ type Aggregate struct {
 func fromAggregate(a campaign.Aggregate) Aggregate {
 	return Aggregate{
 		Point: a.Point, Scenario: a.Scenario, Faults: a.Faults, Runs: a.Runs, Errors: a.Errors,
-		Panics: a.Panics, Retried: a.Retried,
+		Panics:  a.Panics,
 		Crashes: a.Crashes, CrashRate: a.CrashRate,
 		Failovers: a.Failovers, FailoverRate: a.FailoverRate,
 		RuleCounts:   a.RuleCounts,
@@ -324,7 +318,7 @@ func fromAggregate(a campaign.Aggregate) Aggregate {
 func (a Aggregate) internal() campaign.Aggregate {
 	return campaign.Aggregate{
 		Point: a.Point, Scenario: a.Scenario, Faults: a.Faults, Runs: a.Runs, Errors: a.Errors,
-		Panics: a.Panics, Retried: a.Retried,
+		Panics:  a.Panics,
 		Crashes: a.Crashes, CrashRate: a.CrashRate,
 		Failovers: a.Failovers, FailoverRate: a.FailoverRate,
 		RuleCounts:   a.RuleCounts,
@@ -368,12 +362,11 @@ type CampaignStats struct {
 
 	// RunsFailed counts runs that settled with a failure record after
 	// actually executing; RunsPanicked is the quarantined subset
-	// recovered at the worker crash boundary; RunsRetried counts
-	// transient re-executions. All zero on a healthy campaign, so its
-	// serialized output is byte-identical to pre-recovery builds.
+	// recovered at the worker crash boundary. Both zero on a healthy
+	// campaign, so its serialized output is byte-identical to
+	// pre-recovery builds.
 	RunsFailed   int64 `json:"runs_failed,omitempty"`
 	RunsPanicked int64 `json:"runs_panicked,omitempty"`
-	RunsRetried  int64 `json:"runs_retried,omitempty"`
 }
 
 func (r *CampaignResult) internalRecords() []campaign.Record {

@@ -1,7 +1,7 @@
 // Command campaignd serves containerdrone campaigns over HTTP: a
 // long-running, multi-tenant simulation backend. Clients POST
 // versioned JSON campaign requests; campaignd queues them onto a
-// bounded queue feeding a fleet of persistent warm workers and
+// bounded queue feeding a fleet of persistent workers and
 // streams records back over SSE plus aggregates over plain JSON.
 //
 //	campaignd -addr :8080 -workers 4 -queue 128
@@ -53,7 +53,7 @@ func main() {
 		maxTimeout    = flag.Duration("max-job-timeout", 10*time.Minute, "cap on request-supplied deadlines")
 		drainTimeout  = flag.Duration("drain-timeout", 5*time.Minute, "graceful-drain bound; in-flight jobs are canceled past it")
 		journalDir    = flag.String("journal", "", "durable job journal directory: accepted jobs survive a crash and replay on the next boot")
-		chaosPanicJob = flag.Int("chaos-panic-job", 0, "TESTING: panic the worker running job j-<n> on its first attempt")
+		chaosPanicJob = flag.Int("chaos-panic-job", 0, "TESTING: panic the worker running job j-<n>")
 	)
 	flag.Parse()
 
@@ -81,8 +81,8 @@ func main() {
 	}
 	if *chaosPanicJob > 0 {
 		target := fmt.Sprintf("j-%08d", *chaosPanicJob)
-		cfg.ChaosHook = func(jobID string, attempt int) {
-			if jobID == target && attempt == 0 {
+		cfg.ChaosHook = func(jobID string) {
+			if jobID == target {
 				panic("chaos: injected worker panic for " + jobID)
 			}
 		}

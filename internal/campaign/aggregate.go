@@ -59,10 +59,8 @@ type Aggregate struct {
 	Errors int    `json:"errors,omitempty"`
 	// Panics counts the quarantined subset of Errors — runs whose
 	// execution panicked and was recovered at the worker's crash
-	// boundary. Retried counts transient re-executions that preceded
-	// the point's final run outcomes (healthy or failed).
-	Panics  int `json:"panics,omitempty"`
-	Retried int `json:"retried_runs,omitempty"`
+	// boundary.
+	Panics int `json:"panics,omitempty"`
 
 	Crashes   int     `json:"crashes"`
 	CrashRate float64 `json:"crash_rate"`
@@ -93,7 +91,6 @@ type pointAgg struct {
 	runs       int
 	errors     int
 	panics     int
-	retried    int
 	crashes    int
 	failovers  int
 	ruleCounts map[string]int
@@ -132,7 +129,6 @@ func (s *Shard) Add(pi int, r *Record) {
 	if r.Faults != "" {
 		a.faults = r.Faults
 	}
-	a.retried += r.Retries
 	if r.Err != "" {
 		a.errors++
 		if r.Panicked {
@@ -182,7 +178,6 @@ func MergeShards(shards []*Shard) []Aggregate {
 			agg.Runs += a.runs
 			agg.Errors += a.errors
 			agg.Panics += a.panics
-			agg.Retried += a.retried
 			agg.Crashes += a.crashes
 			agg.Failovers += a.failovers
 			for rule, n := range a.ruleCounts {

@@ -83,13 +83,11 @@ type Spec struct {
 
 	// Chaos, when non-nil, is the test-only fault-injection hook run
 	// inside the worker's recover boundary before every full-flight
-	// run attempt — it may panic, stall, or return a (possibly
-	// Transient) error, proving the campaign's crash isolation works
-	// without corrupting anything. When nil, the hook is read from the
-	// ChaosEnv environment variable so separately built binaries
-	// (campaignd under a CI chaos job) can be injected too. Production
-	// campaigns leave both unset and pay only a recover() frame.
-	Chaos Chaos
+	// run of cell (point, run) — it may panic, stall, or return an
+	// error, proving the campaign's crash isolation works without
+	// corrupting anything. Production campaigns leave it nil and pay
+	// only a recover() frame.
+	Chaos func(point, run int) error
 
 	// Stream, when non-nil, receives every Record exactly once, from a
 	// single emitter goroutine off the workers' hot path — live
@@ -134,9 +132,6 @@ type Record struct {
 	// because a deterministic simulator panics the same way twice. Err
 	// carries the panic value; Stack the goroutine stack at recovery.
 	Panicked bool `json:"panicked,omitempty"`
-	// Retries counts re-executions after transient failures; 0 for
-	// first-attempt outcomes, healthy or failed.
-	Retries int `json:"retries,omitempty"`
 	// Stack is the recovered panic's goroutine stack (JSON only; the
 	// records CSV omits it).
 	Stack string `json:"stack,omitempty"`
@@ -208,17 +203,6 @@ func RunAggregatedStats(ctx context.Context, spec Spec) ([]Record, []Aggregate, 
 			}
 		}
 		plan = singletonPlan(len(spec.Points))
-	}
-	chaos := spec.Chaos
-	if chaos == nil {
-		c, err := chaosFromEnv()
-		if err != nil {
-			return nil, nil, stats, err
-		}
-		chaos = c
-	}
-	if ec, ok := chaos.(*envChaos); ok {
-		ec.bind(spec.Runs) // env directives address flat run indices
 	}
 	workers := spec.Parallel
 	if workers <= 0 {
@@ -321,7 +305,7 @@ func RunAggregatedStats(ctx context.Context, spec Spec) ([]Record, []Aggregate, 
 		wg.Add(1)
 		go func(wi int, shard *Shard) {
 			defer wg.Done()
-			w := worker{spec: spec, plan: plan, pi: -1, gi: -1, chaos: chaos}
+			w := worker{spec: spec, plan: plan, pi: -1, gi: -1}
 			emit := func(idx int) {
 				pi := idx / spec.Runs
 				shard.Add(pi, &records[idx])
@@ -418,7 +402,6 @@ func buildPoint(p Point, spec Spec, seed uint64) (core.Config, error) {
 type worker struct {
 	spec  Spec
 	plan  *forkPlan
-	chaos Chaos
 	pi    int // point index the cached System was built for (-1 none)
 	sys   *core.System
 	res   core.Result
@@ -626,43 +609,30 @@ func (w *worker) protectedFinish(ctx context.Context, sys *core.System, pi, ri i
 }
 
 // runCell executes one (point, run) cell as a full flight inside the
-// recover boundary. Transient failures retry with bounded exponential
-// backoff; a panic quarantines the cell — its failure record is
-// final — and discards the worker's warm pooled state, since the
+// recover boundary. A panic quarantines the cell — its failure record
+// is final — and discards the worker's warm pooled state, since the
 // panic may have unwound mid-mutation.
 func (w *worker) runCell(ctx context.Context, pi, ri int) Record {
 	var rec Record
-	for attempt := 0; ; attempt++ {
-		err, panicked, stack := protect(func() error {
-			if w.chaos != nil {
-				if cerr := w.chaos.BeforeRun(pi, ri, attempt); cerr != nil {
-					return cerr
-				}
+	err, panicked, stack := protect(func() error {
+		if w.spec.Chaos != nil {
+			if cerr := w.spec.Chaos(pi, ri); cerr != nil {
+				return cerr
 			}
-			rec = w.runOne(ctx, pi, ri)
-			return nil
-		})
-		switch {
-		case panicked:
-			rec = w.panicRecord(pi, ri, err, stack)
-			rec.Retries = attempt
-			return rec
-		case err != nil && IsTransient(err) && attempt+1 < maxRunAttempts && ctx.Err() == nil:
-			w.stats.RunsRetried++
-			backoff(ctx, attempt)
-			continue
-		case err != nil:
-			rec = w.errRecord(pi, ri, err)
-			rec.Retries = attempt
-			w.stats.RunsFailed++
-			return rec
 		}
-		rec.Retries = attempt
-		if rec.Err != "" && ctx.Err() == nil {
-			w.stats.RunsFailed++
-		}
-		return rec
+		rec = w.runOne(ctx, pi, ri)
+		return nil
+	})
+	switch {
+	case panicked:
+		return w.panicRecord(pi, ri, err, stack)
+	case err != nil:
+		rec = w.errRecord(pi, ri, err)
+		w.stats.RunsFailed++
+	case rec.Err != "" && ctx.Err() == nil:
+		w.stats.RunsFailed++
 	}
+	return rec
 }
 
 // system returns a System ready to run (point pi, given seed):

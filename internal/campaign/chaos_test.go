@@ -16,7 +16,7 @@ import (
 // seeds, short flights, a single worker so warm-pool reuse is
 // exercised across the panic boundary (the worker that panics is the
 // worker that must rebuild and keep going).
-func chaosSpec(scenario string, runs int, chaos Chaos) Spec {
+func chaosSpec(scenario string, runs int, chaos func(point, run int) error) Spec {
 	return Spec{
 		Points:   []Point{{Label: scenario, Scenario: scenario}},
 		Runs:     runs,
@@ -35,15 +35,15 @@ func chaosSpec(scenario string, runs int, chaos Chaos) Spec {
 func TestChaosPanicIsolation(t *testing.T) {
 	const runs = 200
 	panicAt := map[int]bool{3: true, 17: true, 101: true, 199: true}
-	hook := ChaosFunc(func(point, run, attempt int) error {
-		if panicAt[run] && attempt == 0 {
+	hook := func(point, run int) error {
+		if panicAt[run] {
 			panic("chaos: injected panic")
 		}
 		return nil
-	})
+	}
 
-	clean, cleanAggs, _, err := RunAggregatedStats(context.Background(), chaosSpec("baseline", runs, ChaosFunc(
-		func(point, run, attempt int) error { return nil })))
+	clean, cleanAggs, _, err := RunAggregatedStats(context.Background(), chaosSpec("baseline", runs,
+		func(point, run int) error { return nil }))
 	if err != nil {
 		t.Fatalf("clean campaign: %v", err)
 	}
@@ -83,7 +83,7 @@ func TestChaosPanicIsolation(t *testing.T) {
 	if aggs[0].Errors != len(panicAt) || aggs[0].Panics != len(panicAt) {
 		t.Errorf("aggregate errors=%d panics=%d, want %d", aggs[0].Errors, aggs[0].Panics, len(panicAt))
 	}
-	if cleanAggs[0].Panics != 0 || cleanAggs[0].Retried != 0 {
+	if cleanAggs[0].Panics != 0 || cleanAggs[0].Errors != 0 {
 		t.Errorf("clean aggregate carries failure counts: %+v", cleanAggs[0])
 	}
 }
@@ -99,13 +99,13 @@ func TestChaosZeroFailureOutputIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw, _ := json.Marshal(records)
-	for _, field := range []string{"panicked", "retries", "stack"} {
+	for _, field := range []string{"panicked", "stack"} {
 		if strings.Contains(string(raw), field) {
 			t.Errorf("healthy records serialize failure field %q: %s", field, raw)
 		}
 	}
 	araw, _ := json.Marshal(aggs)
-	for _, field := range []string{"panics", "retried_runs"} {
+	for _, field := range []string{"panics"} {
 		if strings.Contains(string(araw), field) {
 			t.Errorf("healthy aggregates serialize failure field %q", field)
 		}
@@ -116,55 +116,20 @@ func TestChaosZeroFailureOutputIdentical(t *testing.T) {
 	}
 }
 
-// TestChaosTransientRetry proves the bounded-backoff retry path: a
-// transient first attempt is re-executed and lands the same healthy
-// result (warm reset is pinned to cold equivalence, so the retry is
-// deterministic), while a permanent error fails without retry and an
-// always-transient failure exhausts its attempt budget.
+// TestChaosTransientRetry: there is no run-level retry. A hook error
+// fails its cell exactly once — the first outcome is final — as a plain
+// failure record, not a quarantined panic, and the neighboring cells
+// are unaffected.
 func TestChaosTransientRetry(t *testing.T) {
-	clean, _, _, err := RunAggregatedStats(context.Background(), chaosSpec("baseline", 3, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	t.Run("transient-once", func(t *testing.T) {
-		hook := ChaosFunc(func(point, run, attempt int) error {
-			if run == 1 && attempt == 0 {
-				return Transient(context.DeadlineExceeded)
-			}
-			return nil
-		})
-		records, aggs, stats, err := RunAggregatedStats(context.Background(), chaosSpec("baseline", 3, hook))
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := records[1]
-		if r.Err != "" || r.Retries != 1 {
-			t.Fatalf("retried run: want healthy with retries=1, got %+v", r)
-		}
-		r.Retries = 0
-		got, _ := json.Marshal(r)
-		want, _ := json.Marshal(clean[1])
-		if string(got) != string(want) {
-			t.Errorf("retried run diverged from clean run:\n got %s\nwant %s", got, want)
-		}
-		if stats.RunsRetried != 1 || stats.RunsFailed != 0 {
-			t.Errorf("stats = %+v, want 1 retried, 0 failed", stats)
-		}
-		if aggs[0].Retried != 1 {
-			t.Errorf("aggregate retried = %d, want 1", aggs[0].Retried)
-		}
-	})
-
 	t.Run("permanent-no-retry", func(t *testing.T) {
 		attempts := 0
-		hook := ChaosFunc(func(point, run, attempt int) error {
+		hook := func(point, run int) error {
 			if run == 1 {
 				attempts++
-				return context.DeadlineExceeded // not marked Transient
+				return context.DeadlineExceeded
 			}
 			return nil
-		})
+		}
 		records, _, stats, err := RunAggregatedStats(context.Background(), chaosSpec("baseline", 3, hook))
 		if err != nil {
 			t.Fatal(err)
@@ -172,34 +137,10 @@ func TestChaosTransientRetry(t *testing.T) {
 		if attempts != 1 {
 			t.Errorf("permanent failure was attempted %d times, want 1", attempts)
 		}
-		if records[1].Err == "" || records[1].Retries != 0 || records[1].Panicked {
+		if records[1].Err == "" || records[1].Panicked {
 			t.Errorf("permanent failure record = %+v", records[1])
 		}
-		if stats.RunsFailed != 1 || stats.RunsRetried != 0 {
-			t.Errorf("stats = %+v", stats)
-		}
-	})
-
-	t.Run("transient-exhausted", func(t *testing.T) {
-		attempts := 0
-		hook := ChaosFunc(func(point, run, attempt int) error {
-			if run == 0 {
-				attempts++
-				return Transient(context.DeadlineExceeded)
-			}
-			return nil
-		})
-		records, _, stats, err := RunAggregatedStats(context.Background(), chaosSpec("baseline", 2, hook))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if attempts != maxRunAttempts {
-			t.Errorf("exhausted %d attempts, want %d", attempts, maxRunAttempts)
-		}
-		if records[0].Err == "" || records[0].Retries != maxRunAttempts-1 {
-			t.Errorf("exhausted record = %+v", records[0])
-		}
-		if stats.RunsFailed != 1 || stats.RunsRetried != maxRunAttempts-1 {
+		if stats.RunsFailed != 1 || stats.RunsPanicked != 0 {
 			t.Errorf("stats = %+v", stats)
 		}
 	})
@@ -227,10 +168,10 @@ func TestChaosPanicContracts(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			hook := ChaosFunc(func(point, run, attempt int) error {
+			hook := func(point, run int) error {
 				tc.trigger()
 				return nil
-			})
+			}
 			records, aggs, stats, err := RunAggregatedStats(context.Background(), chaosSpec("baseline", 1, hook))
 			if err != nil {
 				t.Fatalf("campaign must survive the panic: %v", err)
@@ -259,11 +200,12 @@ func TestChaosStall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hook, err := ParseChaos("stall@1:30ms")
-	if err != nil {
-		t.Fatal(err)
+	hook := func(point, run int) error {
+		if run == 1 {
+			time.Sleep(30 * time.Millisecond)
+		}
+		return nil
 	}
-	hook.(*envChaos).bind(3)
 	records, _, _, err := RunAggregatedStats(context.Background(), chaosSpec("baseline", 3, hook))
 	if err != nil {
 		t.Fatal(err)
@@ -272,32 +214,5 @@ func TestChaosStall(t *testing.T) {
 	want, _ := json.Marshal(clean)
 	if string(got) != string(want) {
 		t.Errorf("stalled campaign diverged:\n got %s\nwant %s", got, want)
-	}
-}
-
-// TestChaosEnv covers the environment-variable injection path used by
-// separately built binaries (campaignd under the CI chaos job): a
-// spec in ChaosEnv applies to campaigns with no explicit hook, and a
-// malformed spec fails the campaign loudly at start.
-func TestChaosEnv(t *testing.T) {
-	t.Setenv(ChaosEnv, "panic@2;transient@0")
-	spec := chaosSpec("baseline", 4, nil)
-	records, _, stats, err := RunAggregatedStats(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !records[2].Panicked {
-		t.Errorf("env-injected panic not quarantined: %+v", records[2])
-	}
-	if records[0].Retries != 1 || records[0].Err != "" {
-		t.Errorf("env-injected transient not retried: %+v", records[0])
-	}
-	if stats.RunsPanicked != 1 || stats.RunsRetried != 1 {
-		t.Errorf("stats = %+v", stats)
-	}
-
-	t.Setenv(ChaosEnv, "panic@")
-	if _, _, _, err := RunAggregatedStats(context.Background(), spec); err == nil {
-		t.Error("malformed chaos spec must fail the campaign at start")
 	}
 }

@@ -13,7 +13,7 @@ var recordsHeader = []string{
 	"point", "scenario", "faults", "run", "seed",
 	"crashed", "crash_s", "switched", "switch_s", "rule",
 	"rms_error_m", "max_deviation_m", "miss_rate", "err",
-	"panicked", "retries",
+	"panicked",
 }
 
 // recordRow renders one record in recordsHeader order. The recovered
@@ -26,7 +26,7 @@ func recordRow(r *Record) []string {
 		strconv.FormatBool(r.Crashed), f(r.CrashS),
 		strconv.FormatBool(r.Switched), f(r.SwitchS), r.Rule,
 		f(r.RMSError), f(r.MaxDeviation), f(r.MissRate), r.Err,
-		strconv.FormatBool(r.Panicked), strconv.Itoa(r.Retries),
+		strconv.FormatBool(r.Panicked),
 	}
 }
 
@@ -54,7 +54,7 @@ func WriteAggregatesCSV(w io.Writer, aggs []Aggregate) error {
 		"switch_s_p50", "switch_s_p90", "switch_s_p99", "switch_s_max",
 		"miss_rate_p50", "miss_rate_p90", "miss_rate_p99", "miss_rate_max",
 		"rms_error_m_mean", "max_deviation_m_p99",
-		"panics", "retried",
+		"panics",
 	}
 	if err := cw.Write(header); err != nil {
 		return err
@@ -66,7 +66,7 @@ func WriteAggregatesCSV(w io.Writer, aggs []Aggregate) error {
 			f(a.SwitchS.P50), f(a.SwitchS.P90), f(a.SwitchS.P99), f(a.SwitchS.Max),
 			f(a.MissRate.P50), f(a.MissRate.P90), f(a.MissRate.P99), f(a.MissRate.Max),
 			f(a.RMSError.Mean), f(a.MaxDeviation.P99),
-			strconv.Itoa(a.Panics), strconv.Itoa(a.Retried),
+			strconv.Itoa(a.Panics),
 		}
 		if err := cw.Write(row); err != nil {
 			return err

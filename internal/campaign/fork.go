@@ -33,12 +33,10 @@ type Stats struct {
 	// actually executing (panics, build failures, injected permanent
 	// errors) — campaign cancellation is not a run failure.
 	// RunsPanicked is the quarantined subset recovered at the worker's
-	// crash boundary; RunsRetried counts transient re-executions. All
-	// three are zero on a healthy campaign, keeping its serialized
-	// output byte-identical to pre-recovery builds.
+	// crash boundary. Both are zero on a healthy campaign, keeping its
+	// serialized output byte-identical to pre-recovery builds.
 	RunsFailed   int64 `json:"runs_failed,omitempty"`
 	RunsPanicked int64 `json:"runs_panicked,omitempty"`
-	RunsRetried  int64 `json:"runs_retried,omitempty"`
 }
 
 // PrefixShareRatio is the fraction of total demanded ticks that prefix
@@ -57,7 +55,6 @@ func (s *Stats) add(o Stats) {
 	s.ForkedRuns += o.ForkedRuns
 	s.RunsFailed += o.RunsFailed
 	s.RunsPanicked += o.RunsPanicked
-	s.RunsRetried += o.RunsRetried
 }
 
 // forkGroup is one set of grid points that share a pre-onset prefix:

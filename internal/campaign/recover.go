@@ -1,15 +1,8 @@
 package campaign
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"os"
 	"runtime/debug"
-	"strconv"
-	"strings"
-	"sync"
-	"time"
 )
 
 // This file is the campaign engine's crash-only boundary. A simulator
@@ -18,36 +11,12 @@ import (
 // violating run take down a million-run campaign, let alone the
 // serving process above it. Every run executes inside protect(): a
 // panic becomes a per-run failure record carrying the panic value and
-// stack, the (scenario, seed) point is quarantined (never retried — a
-// deterministic simulator panics the same way twice), and the worker
+// stack, the (scenario, seed) point is quarantined, and the worker
 // discards its warm pooled state and rebuilds from cold, because a
 // panic may have unwound mid-mutation and left the pooled System
-// corrupted. Failures classified transient are retried with bounded
-// exponential backoff instead.
-
-// Run-attempt policy: a transient failure is retried up to
-// maxRunAttempts total executions, sleeping base<<attempt (capped)
-// between attempts. Panics and permanent errors never retry.
-const (
-	maxRunAttempts   = 3
-	retryBackoffBase = 2 * time.Millisecond
-	retryBackoffMax  = 100 * time.Millisecond
-)
-
-// ErrTransient classifies a run failure as retryable. The simulator
-// itself is deterministic, so genuine transience enters through the
-// boundary with the outside world (and through the chaos hook, which
-// exists to prove the retry path works): wrap such errors with
-// Transient, or any error chain containing ErrTransient is retried.
-var ErrTransient = errors.New("transient")
-
-// Transient wraps err so the campaign worker retries the run.
-func Transient(err error) error {
-	return fmt.Errorf("%w: %w", ErrTransient, err)
-}
-
-// IsTransient reports whether err is marked retryable.
-func IsTransient(err error) bool { return errors.Is(err, ErrTransient) }
+// corrupted. Nothing is ever re-executed: a run is a pure function of
+// (scenario, seed), so a failed or panicked run fails the same way
+// every time — the first outcome is final.
 
 // protect runs fn, converting a panic into (error, panicked=true,
 // stack). It is the recover() boundary every campaign run crosses.
@@ -61,146 +30,4 @@ func protect(fn func() error) (err error, panicked bool, stack []byte) {
 	}()
 	err = fn()
 	return
-}
-
-// Chaos is the test-only fault-injection hook for the campaign worker
-// itself — the same discipline the simulator applies to the drone,
-// turned on the serving infrastructure. When set on a Spec, it runs
-// inside the recover boundary before every full-flight run attempt:
-// it may panic (a crash at the worker), stall (a hung dependency), or
-// return an error (Transient to exercise the retry path, anything
-// else for a permanent failure). point and run identify the cell;
-// attempt counts executions of that cell, starting at 0.
-type Chaos interface {
-	BeforeRun(point, run, attempt int) error
-}
-
-// ChaosFunc adapts a function to the Chaos interface.
-type ChaosFunc func(point, run, attempt int) error
-
-// BeforeRun implements Chaos.
-func (f ChaosFunc) BeforeRun(point, run, attempt int) error { return f(point, run, attempt) }
-
-// ChaosEnv is the environment variable holding a chaos spec applied
-// to every campaign whose Spec carries no explicit hook — the way a
-// separately built binary (campaignd under a CI chaos job) gets
-// fault injection without a test-only API surface. Empty disables.
-const ChaosEnv = "CONTAINERDRONE_CHAOS"
-
-// ParseChaos parses a chaos spec string: semicolon-separated
-// directives, each targeting one flat run index (point*runs+run):
-//
-//	panic@IDX          panic at that cell's first attempt
-//	transient@IDX      fail the first attempt with a Transient error
-//	error@IDX          fail every attempt with a permanent error
-//	stall@IDX:DUR      sleep DUR (Go duration) before the first attempt
-//
-// Directives fire on attempt 0 only (except error@), so a transient
-// directive proves retry succeeds and a panic directive proves the
-// quarantine is final. An empty spec returns a nil hook.
-func ParseChaos(spec string) (Chaos, error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return nil, nil
-	}
-	h := &envChaos{cells: make(map[int]chaosDirective)}
-	for _, part := range strings.Split(spec, ";") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		kind, target, ok := strings.Cut(part, "@")
-		if !ok {
-			return nil, fmt.Errorf("campaign: bad chaos directive %q (want kind@index)", part)
-		}
-		d := chaosDirective{kind: kind}
-		if kind == "stall" {
-			idxs, durs, ok := strings.Cut(target, ":")
-			if !ok {
-				return nil, fmt.Errorf("campaign: stall directive %q wants stall@index:duration", part)
-			}
-			dur, err := time.ParseDuration(durs)
-			if err != nil {
-				return nil, fmt.Errorf("campaign: bad stall duration in %q: %v", part, err)
-			}
-			d.stall = dur
-			target = idxs
-		}
-		switch kind {
-		case "panic", "transient", "error", "stall":
-		default:
-			return nil, fmt.Errorf("campaign: unknown chaos kind %q in %q", kind, part)
-		}
-		idx, err := strconv.Atoi(target)
-		if err != nil || idx < 0 {
-			return nil, fmt.Errorf("campaign: bad chaos index in %q", part)
-		}
-		h.cells[idx] = d
-	}
-	return h, nil
-}
-
-// chaosFromEnv builds the process-wide chaos hook from ChaosEnv. A
-// malformed spec fails loudly at campaign start rather than silently
-// injecting nothing.
-func chaosFromEnv() (Chaos, error) {
-	return ParseChaos(os.Getenv(ChaosEnv))
-}
-
-type chaosDirective struct {
-	kind  string
-	stall time.Duration
-}
-
-// envChaos keys directives on the flat run index. The runs-per-point
-// width is bound by the campaign at start (the env spec cannot know
-// it), and each directive fires per matching cell attempt as
-// documented on ParseChaos.
-type envChaos struct {
-	mu    sync.Mutex
-	runs  int
-	cells map[int]chaosDirective
-}
-
-func (h *envChaos) bind(runs int) { h.mu.Lock(); h.runs = runs; h.mu.Unlock() }
-
-func (h *envChaos) BeforeRun(point, run, attempt int) error {
-	h.mu.Lock()
-	d, ok := h.cells[point*h.runs+run]
-	h.mu.Unlock()
-	if !ok {
-		return nil
-	}
-	switch d.kind {
-	case "error":
-		return fmt.Errorf("chaos: injected permanent failure at (%d,%d)", point, run)
-	case "panic":
-		if attempt == 0 {
-			panic(fmt.Sprintf("chaos: injected panic at (%d,%d)", point, run))
-		}
-	case "transient":
-		if attempt == 0 {
-			return Transient(fmt.Errorf("chaos: injected transient failure at (%d,%d)", point, run))
-		}
-	case "stall":
-		if attempt == 0 {
-			time.Sleep(d.stall)
-		}
-	}
-	return nil
-}
-
-// backoff sleeps the bounded-exponential retry delay for the given
-// completed attempt count, returning early if ctx is done.
-func backoff(ctx context.Context, attempt int) {
-	d := retryBackoffBase << attempt
-	if d > retryBackoffMax {
-		d = retryBackoffMax
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-ctx.Done():
-	}
 }

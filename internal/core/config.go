@@ -11,6 +11,7 @@
 package core
 
 import (
+	"math"
 	"time"
 
 	"containerdrone/internal/attack"
@@ -133,6 +134,17 @@ type Config struct {
 
 	// TelemetryRate is the flight-log sampling rate in Hz.
 	TelemetryRate float64
+}
+
+// telemetryPeriod is the flight-log sampling period, or 0 when
+// TelemetryRate yields no positive whole-nanosecond period (a rate
+// ≤ 0, NaN, above 1 GHz, or so small the period overflows).
+func (c *Config) telemetryPeriod() time.Duration {
+	p := float64(time.Second) / c.TelemetryRate
+	if !(p >= 1 && p < math.MaxInt64) {
+		return 0
+	}
+	return time.Duration(p)
 }
 
 // DroneCount returns the effective fleet size (at least 1).

@@ -643,8 +643,7 @@ func (d *Drone) buildEngineProcs() {
 			}
 		}
 	}))
-	period := time.Duration(float64(time.Second) / s.Cfg.TelemetryRate)
-	s.Engine.Register(s.comp(d.idx, "telemetry"), period, 30, sim.ProcFunc(func(now time.Duration) {
+	s.Engine.Register(s.comp(d.idx, "telemetry"), s.Cfg.telemetryPeriod(), 30, sim.ProcFunc(func(now time.Duration) {
 		roll, pitch, yaw := d.Quad.State.RollPitchYaw()
 		src := "complex"
 		if !s.Cfg.ComplexInContainer {

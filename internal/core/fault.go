@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"time"
 
 	"containerdrone/internal/fault"
@@ -40,17 +41,26 @@ func (s *System) scheduleFaults() {
 	// Capture legitimate motor frames ahead of each replay window, on
 	// the member the adversary taps (Spec.FromMember). Each tapped
 	// member's cap is the largest capture magnitude across the replay
-	// specs that tap it.
+	// specs that tap it. The capture buffer grows as frames arrive, so
+	// a build costs nothing for the window size: the magnitude is
+	// request input, and a flight captures at most the frames it sees.
 	for _, sp := range s.Cfg.Faults.Specs {
 		if sp.Kind != fault.KindMAVReplay {
 			continue
 		}
 		src := s.drones[sp.FromMember]
-		if n := int(sp.WithDefaults().Magnitude); n > src.replayMax {
-			src.replayMax = n
-			src.replayFrames = make([][]byte, 0, n)
-		}
+		src.replayMax = max(src.replayMax, replayCapture(sp.WithDefaults().Magnitude))
 	}
+}
+
+// replayCapture converts a mav-replay capture magnitude to a frame
+// count, saturating at math.MaxInt where int() of the float would be
+// undefined.
+func replayCapture(m float64) int {
+	if m >= math.MaxInt {
+		return math.MaxInt
+	}
+	return int(m)
 }
 
 // buildInjector maps one fault spec to its injector and Step cadence

@@ -139,6 +139,9 @@ func New(cfg Config) (*System, error) {
 	if cfg.BusCapacity <= 0 {
 		return nil, fmt.Errorf("core: non-positive bus capacity %v", cfg.BusCapacity)
 	}
+	if cfg.telemetryPeriod() <= 0 {
+		return nil, fmt.Errorf("core: telemetry rate %v Hz gives no positive sampling period", cfg.TelemetryRate)
+	}
 	if cfg.Drones < 0 || cfg.Drones > MaxDrones {
 		return nil, fmt.Errorf("core: drone count %d outside [1, %d]", cfg.Drones, MaxDrones)
 	}

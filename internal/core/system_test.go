@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -228,6 +229,26 @@ func TestConfigValidation(t *testing.T) {
 	bad.BusCapacity = 0
 	if _, err := New(bad); err == nil {
 		t.Fatal("zero bus capacity accepted")
+	}
+}
+
+// TestConfigRejectsTelemetryRate: a telemetry rate with no positive
+// whole-nanosecond sampling period is a build error, not an engine
+// panic at Register.
+func TestConfigRejectsTelemetryRate(t *testing.T) {
+	for _, rate := range []float64{0, -50, 1.5e9, 2e9, math.Inf(1), math.NaN(), 1e-300} {
+		cfg := DefaultConfig()
+		cfg.Duration = time.Second
+		cfg.TelemetryRate = rate
+		if _, err := New(cfg); err == nil {
+			t.Errorf("telemetry rate %v accepted", rate)
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.Duration = time.Second
+	cfg.TelemetryRate = 1e9 // a 1 ns period: the fastest rate accepted
+	if _, err := New(cfg); err != nil {
+		t.Errorf("telemetry rate 1e9: %v", err)
 	}
 }
 

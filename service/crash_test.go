@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -16,48 +17,23 @@ import (
 	"containerdrone"
 )
 
-// TestWorkerPanicRetryCompletesJob: a job whose first attempt panics
-// the worker is re-queued and completes on the second attempt; the
-// supervisor respawns the dead worker and both events are visible in
-// /metrics.
-func TestWorkerPanicRetryCompletesJob(t *testing.T) {
-	var panics atomic.Int64
+// TestWorkerPanicFailsJobWorkerKeepsServing: a job that panics its
+// worker settles failed exactly once — its SSE followers receive a
+// structured "error" terminal event, not a hung stream — and the same
+// single worker then runs the next job to completion.
+func TestWorkerPanicFailsJobWorkerKeepsServing(t *testing.T) {
+	var hooked atomic.Int64
 	svc, cl := newTestServer(t, Config{
 		Workers: 1,
-		ChaosHook: func(jobID string, attempt int) {
-			if attempt == 0 {
-				panics.Add(1)
+		ChaosHook: func(jobID string) {
+			if jobID == "j-00000001" {
+				hooked.Add(1)
 				panic("chaos: worker bomb")
 			}
 		},
 	})
-	st, err := cl.SubmitWait(t.Context(), CampaignRequest{Scenario: "baseline", Runs: 3, DurationS: 1})
-	if err != nil {
-		t.Fatalf("submit-wait: %v", err)
-	}
-	if st.Status != StatusDone || st.Error != "" || st.Result == nil || len(st.Result.Records) != 3 {
-		t.Fatalf("retried job should complete cleanly, got %+v", st)
-	}
-	if panics.Load() != 1 {
-		t.Fatalf("chaos hook fired %d times, want 1", panics.Load())
-	}
-	m := svc.Metrics()
-	if m.WorkerRestarts != 1 || m.JobsRetried != 1 || m.Completed != 1 || m.Failed != 0 {
-		t.Fatalf("metrics after retry: restarts=%d retried=%d completed=%d failed=%d",
-			m.WorkerRestarts, m.JobsRetried, m.Completed, m.Failed)
-	}
-}
-
-// TestWorkerPanicExhaustedFailsWithErrorEvent: a job that panics on
-// every attempt settles as failed once the retry budget is spent, and
-// its SSE followers receive a structured "error" terminal event — not
-// a hung stream.
-func TestWorkerPanicExhaustedFailsWithErrorEvent(t *testing.T) {
-	svc, cl := newTestServer(t, Config{
-		Workers:   1,
-		ChaosHook: func(jobID string, attempt int) { panic("chaos: always") },
-	})
-	sub, err := cl.Submit(t.Context(), CampaignRequest{Scenario: "baseline", Runs: 2, DurationS: 1})
+	req := CampaignRequest{Scenario: "baseline", Runs: 3, DurationS: 1}
+	sub, err := cl.Submit(t.Context(), req)
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -65,7 +41,7 @@ func TestWorkerPanicExhaustedFailsWithErrorEvent(t *testing.T) {
 	if err != nil {
 		t.Fatalf("wait: %v", err)
 	}
-	if st.Status != StatusFailed || !strings.Contains(st.Error, "job panicked") {
+	if st.Status != StatusFailed || !strings.Contains(st.Error, "job panicked: chaos: worker bomb") {
 		t.Fatalf("want failed status naming the panic, got %+v", st)
 	}
 	// The wire-level terminal frame is the "error" event.
@@ -73,80 +49,90 @@ func TestWorkerPanicExhaustedFailsWithErrorEvent(t *testing.T) {
 	if err != nil {
 		t.Fatalf("raw stream: %v", err)
 	}
-	defer resp.Body.Close()
 	raw, err := readAllStream(resp)
+	resp.Body.Close()
 	if err != nil {
 		t.Fatalf("read stream: %v", err)
 	}
-	if !strings.Contains(raw, "event: error") {
+	if i := strings.LastIndex(raw, "event: "); i < 0 || !strings.HasPrefix(raw[i:], "event: error\n") {
 		t.Fatalf("stream did not end with an error event:\n%s", raw)
 	}
+
+	st, err = cl.SubmitWait(t.Context(), req)
+	if err != nil {
+		t.Fatalf("second submit-wait: %v", err)
+	}
+	if st.Status != StatusDone || st.Error != "" || st.Result == nil || len(st.Result.Records) != 3 {
+		t.Fatalf("the worker should serve the next job after a panic, got %+v", st)
+	}
+	if hooked.Load() != 1 {
+		t.Fatalf("panicking job ran %d times, want 1 (no re-run)", hooked.Load())
+	}
 	m := svc.Metrics()
-	if m.WorkerRestarts != 2 || m.JobsRetried != 1 || m.Failed != 1 || m.Completed != 0 {
-		t.Fatalf("metrics after exhausted retries: restarts=%d retried=%d failed=%d completed=%d",
-			m.WorkerRestarts, m.JobsRetried, m.Failed, m.Completed)
+	if m.JobPanics != 1 || m.Failed != 1 || m.Completed != 1 {
+		t.Fatalf("metrics: job_panics=%d failed=%d completed=%d, want 1 each",
+			m.JobPanics, m.Failed, m.Completed)
 	}
 }
 
-// TestFleetSurvivesPanicStorm: every job panics once; the fleet keeps
-// serving and every job still completes — workers are replaced, not
-// lost, and the queue never wedges.
+// TestFleetSurvivesPanicStorm: every odd-numbered job panics its
+// worker; those jobs settle failed, the even ones complete, the queue
+// never wedges, and the fleet still serves a job submitted after the
+// storm.
 func TestFleetSurvivesPanicStorm(t *testing.T) {
 	svc, cl := newTestServer(t, Config{
 		Workers: 2,
-		ChaosHook: func(jobID string, attempt int) {
-			if attempt == 0 {
+		ChaosHook: func(jobID string) {
+			n, err := strconv.Atoi(strings.TrimPrefix(jobID, "j-"))
+			if err == nil && n <= 6 && n%2 == 1 {
 				panic("chaos: storm")
 			}
 		},
-		RestartRate:  1000, // keep the test fast; the brake is tested separately
-		RestartBurst: 1000,
 	})
+	req := CampaignRequest{Scenario: "baseline", Runs: 1, DurationS: 1}
 	const jobs = 6
 	ids := make([]string, jobs)
 	for i := range ids {
-		sub, err := cl.Submit(t.Context(), CampaignRequest{Scenario: "baseline", Runs: 1, DurationS: 1})
+		sub, err := cl.Submit(t.Context(), req)
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 		ids[i] = sub.JobID
 	}
-	for _, id := range ids {
+	failed, done := 0, 0
+	for i, id := range ids {
 		st, err := cl.Wait(t.Context(), id)
 		if err != nil {
 			t.Fatalf("wait %s: %v", id, err)
 		}
-		if st.Status != StatusDone {
-			t.Fatalf("%s: %+v", id, st)
+		want := StatusDone
+		if i%2 == 0 { // j-00000001, j-00000003, j-00000005
+			want = StatusFailed
 		}
+		if st.Status != want {
+			t.Fatalf("%s: status %s, want %s (%+v)", id, st.Status, want, st)
+		}
+		switch st.Status {
+		case StatusFailed:
+			failed++
+		case StatusDone:
+			done++
+		}
+	}
+	if failed != 3 || done != 3 {
+		t.Fatalf("storm settled %d failed / %d done, want 3 / 3", failed, done)
+	}
+	st, err := cl.SubmitWait(t.Context(), req)
+	if err != nil {
+		t.Fatalf("post-storm submit-wait: %v", err)
+	}
+	if st.Status != StatusDone {
+		t.Fatalf("post-storm job: %+v", st)
 	}
 	m := svc.Metrics()
-	if m.Completed != jobs || m.WorkerRestarts != jobs || m.JobsRetried != jobs {
-		t.Fatalf("storm metrics: completed=%d restarts=%d retried=%d, want %d each",
-			m.Completed, m.WorkerRestarts, m.JobsRetried, jobs)
-	}
-}
-
-// TestRestartLimiter pins the crash-loop brake's arithmetic: restarts
-// are free up to the burst, then spaced at the configured rate, and
-// idle time refills the bucket.
-func TestRestartLimiter(t *testing.T) {
-	now := time.Unix(0, 0)
-	l := newRestartLimiter(1, 2, func() time.Time { return now })
-	for i := 0; i < 2; i++ {
-		if d := l.reserve(); d != 0 {
-			t.Fatalf("restart %d within burst: delay %v, want 0", i, d)
-		}
-	}
-	if d := l.reserve(); d != time.Second {
-		t.Fatalf("first over-burst delay %v, want 1s", d)
-	}
-	if d := l.reserve(); d != 2*time.Second {
-		t.Fatalf("second over-burst delay %v, want 2s", d)
-	}
-	now = now.Add(3 * time.Second)
-	if d := l.reserve(); d != 0 {
-		t.Fatalf("after refill: delay %v, want 0", d)
+	if m.JobPanics != 3 || m.Failed != 3 || m.Completed != 4 {
+		t.Fatalf("storm metrics: job_panics=%d failed=%d completed=%d, want 3/3/4",
+			m.JobPanics, m.Failed, m.Completed)
 	}
 }
 
@@ -242,7 +228,7 @@ func TestJournalReplayAfterCrash(t *testing.T) {
 	_, cl1 := newTestServer(t, Config{
 		Workers:   1,
 		Journal:   jl,
-		ChaosHook: func(string, int) { <-gate },
+		ChaosHook: func(string) { <-gate },
 	})
 	sub, err := cl1.Submit(t.Context(), CampaignRequest{Scenario: "baseline", Runs: 2, DurationS: 1})
 	if err != nil {

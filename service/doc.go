@@ -24,10 +24,9 @@
 //     accepted jobs are dropped on SIGTERM.
 //   - Observability: /metrics reports queue depth, in-flight count,
 //     per-tenant accept/reject counters, runs/s, p50/p99 job latency,
-//     and the crash-only counters (runs_failed, worker_restarts,
-//     jobs_retried, journal_replays); /healthz flips to 503 the moment
-//     drain begins so load balancers stop routing before the listener
-//     closes.
+//     and the crash-only counters (runs_failed, job_panics,
+//     journal_replays); /healthz flips to 503 the moment drain begins
+//     so load balancers stop routing before the listener closes.
 //
 // # Endpoints
 //
@@ -44,19 +43,18 @@
 //	GET  /healthz                 200 "ok" serving, 503 "draining" during drain
 //	GET  /metrics                 MetricsSnapshot JSON
 //
-// # Crash-only supervision
+// # Crash-only workers
 //
-// The worker fleet is crash-only: a job that panics through the SDK
-// boundary retires its worker, a replacement spawns under a restart-
-// rate token bucket (Config.RestartRate/RestartBurst — the crash-loop
-// brake), and the job is re-queued up to Config.MaxJobRetries times
-// before settling as failed. Because a campaign is a pure function of
-// (request, seed), a retried job re-emits a byte-identical record
-// stream, so SSE followers ride through the retry without duplicates
-// or gaps; followers of a job that exhausts its retries receive the
-// structured "error" terminal event instead of a hung stream. (Per-run
-// panics inside the campaign engine never reach this layer: the engine
-// quarantines them as per-run failure records.)
+// Each worker loop has one recover: a job that panics through the SDK
+// boundary is logged with its stack (Config.Logf), counted in
+// job_panics, and settled failed with "job panicked: <value>", so its
+// SSE followers receive the structured "error" terminal event instead
+// of a hung stream. The job is not re-run — a campaign is a pure
+// function of (request, seed), so it would panic the same way again —
+// and the worker goes on serving the queue: it holds no warm state
+// across jobs (each job builds a fresh campaign), so there is nothing
+// to rebuild. (Per-run panics inside the campaign engine never reach
+// this layer: the engine quarantines them as per-run failure records.)
 //
 // # Durable job journal
 //

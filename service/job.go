@@ -30,12 +30,8 @@ type job struct {
 
 	// admitted marks a job holding a slot in this process's quota
 	// table; journal-replayed jobs do not (their admission belonged to
-	// a previous process). attempts counts completed executions that
-	// ended in a worker panic; it is read and advanced only by the
-	// worker/supervisor goroutine that currently owns the job, with
-	// the queue channel providing the hand-off ordering.
+	// a previous process).
 	admitted bool
-	attempts int
 
 	mu       sync.Mutex
 	status   string
@@ -86,30 +82,10 @@ func (j *job) start() {
 	j.mu.Unlock()
 }
 
-// reset returns a panicked job to the queued state for another
-// attempt. The record log restarts from nil — not a truncation of the
-// shared backing array, which followers still hold windows into — and
-// because a campaign is a pure function of (request, seed), the re-run
-// emits a byte-identical record sequence: a follower blocked at index
-// i simply resumes, without duplicates or gaps, once the replay passes
-// i again.
-func (j *job) reset() {
-	j.mu.Lock()
-	j.attempts++
-	j.status = StatusQueued
-	j.err = ""
-	j.partial = false
-	j.started = time.Time{}
-	j.records = nil
-	j.result = nil
-	j.signal()
-	j.mu.Unlock()
-}
-
 // finish moves the job to its terminal state and releases waiters.
 // A job that is already terminal stays as it is: settlement races
-// (a cancel landing while the supervisor fails a panicked job) must
-// not double-close done or rewrite the verdict.
+// (a cancel landing while the worker fails a panicked job) must not
+// double-close done or rewrite the verdict.
 func (j *job) finish(res *containerdrone.CampaignResult, runErr error, canceled bool) {
 	j.mu.Lock()
 	if j.terminal() {

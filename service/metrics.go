@@ -27,12 +27,11 @@ type metrics struct {
 	runsCompleted atomic.Int64
 	inFlight      atomic.Int64
 
-	// Crash-only accounting: per-run failure records, workers retired
-	// by a job panic, jobs re-queued after one, and jobs re-enqueued
-	// from the durable journal at boot.
+	// Crash-only accounting: per-run failure records, jobs settled
+	// failed by a panic at the worker's crash boundary, and jobs
+	// re-enqueued from the durable journal at boot.
 	runsFailed     atomic.Int64
-	workerRestarts atomic.Int64
-	jobsRetried    atomic.Int64
+	jobPanics      atomic.Int64
 	journalReplays atomic.Int64
 
 	mu        sync.Mutex
@@ -107,8 +106,7 @@ func (m *metrics) snapshot(queueDepth, queueCap, workers int, draining bool, ten
 		RunsCompleted:  runs,
 		RunsPerSec:     rps,
 		RunsFailed:     m.runsFailed.Load(),
-		WorkerRestarts: m.workerRestarts.Load(),
-		JobsRetried:    m.jobsRetried.Load(),
+		JobPanics:      m.jobPanics.Load(),
 		JournalReplays: m.journalReplays.Load(),
 		LatencyP50S:    p50,
 		LatencyP99S:    p99,

@@ -206,7 +206,7 @@ type ErrorResponse struct {
 	SchemaVersion int    `json:"schema_version"`
 	Error         string `json:"error"`
 	// Reason is a stable machine-readable cause: "quota", "in_flight",
-	// "queue_full", "draining", "bad_request", "not_found".
+	// "queue_full", "draining", "bad_request", "too_large", "not_found".
 	Reason string `json:"reason,omitempty"`
 	// RetryAfterS mirrors the Retry-After header on 429/503 answers.
 	RetryAfterS float64 `json:"retry_after_s,omitempty"`
@@ -249,11 +249,10 @@ type MetricsSnapshot struct {
 	RunsPerSec    float64 `json:"runs_per_sec"`
 	RunsFailed    int64   `json:"runs_failed"`
 
-	// Crash-only supervision counters: workers retired by a job panic
-	// and respawned, jobs re-queued after such a panic, and jobs
-	// re-enqueued from the durable journal at boot.
-	WorkerRestarts int64 `json:"worker_restarts"`
-	JobsRetried    int64 `json:"jobs_retried"`
+	// Crash-only counters: jobs settled failed by a panic caught at the
+	// worker's crash boundary, and jobs re-enqueued from the durable
+	// journal at boot.
+	JobPanics      int64 `json:"job_panics"`
 	JournalReplays int64 `json:"journal_replays"`
 
 	// Job latency (submit → terminal) percentiles over a sliding

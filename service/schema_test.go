@@ -116,6 +116,7 @@ func TestValidateCatchesBadRequests(t *testing.T) {
 		{"duplicate sweep key", func(r *CampaignRequest) {
 			r.Sweeps = append(r.Sweeps, containerdrone.Sweep{Key: r.Sweeps[0].Key, Values: []float64{1, 2}})
 		}, "duplicate sweep key"},
+		{"zero telemetry rate", func(r *CampaignRequest) { r.Params["telemetry.rate"] = 0 }, "telemetry rate"},
 	}
 	for _, tc := range cases {
 		req := sampleRequest()
@@ -178,5 +179,32 @@ func TestGridSizeSaturates(t *testing.T) {
 	req.Runs = 1 << 30
 	if got := req.TotalRuns(); got != math.MaxInt {
 		t.Fatalf("TotalRuns of 2^40 points x 2^30 runs = %d, want math.MaxInt", got)
+	}
+}
+
+// TestValidateReplayCaptureCost pins that the mav-replay capture
+// window, a request-supplied frame count, costs the submit-time probe
+// build nothing up front, and that no magnitude panics it.
+func TestValidateReplayCaptureCost(t *testing.T) {
+	req := CampaignRequest{
+		SchemaVersion: SchemaVersion,
+		Scenario:      "mav-replay",
+		Params:        map[string]float64{"fault.magnitude": 1e7},
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := req.Validate()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := after.TotalAlloc - before.TotalAlloc; b >= 1<<20 {
+		t.Fatalf("Validate of a 1e7-frame capture window allocates %d B, want < 1 MiB", b)
+	}
+	for _, m := range []float64{1e18, 1e300} {
+		req.Params["fault.magnitude"] = m
+		if err := req.Validate(); err != nil {
+			t.Errorf("fault.magnitude %v: %v", m, err)
+		}
 	}
 }

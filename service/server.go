@@ -65,29 +65,15 @@ type Config struct {
 	// caller owns Close.
 	Journal *Journal
 
-	// MaxJobRetries is how many times a job whose worker panicked is
-	// re-queued before it settles as failed. Default 1 (the campaign
-	// engine already quarantines per-run panics, so a job-level panic
-	// recurring twice is structural, not transient); negative disables
-	// retries.
-	MaxJobRetries int
+	// ChaosHook, when set, runs at the top of every job with the job's
+	// ID — the service-level fault injection point (campaignd
+	// -chaos-panic-job). A panic thrown from the hook exercises the
+	// worker's crash boundary: the job settles failed and the worker
+	// serves the next one. Test and CI use only.
+	ChaosHook func(jobID string)
 
-	// RestartRate and RestartBurst shape the worker supervisor's
-	// restart token bucket: replacements for panicked workers are
-	// immediate up to the burst, then spaced at the rate. Defaults:
-	// 1/s, burst 5.
-	RestartRate  float64
-	RestartBurst int
-
-	// ChaosHook, when set, runs at the top of every job attempt with
-	// the job's ID and attempt number — the service-level fault
-	// injection point (campaignd -chaos-panic-job). A panic thrown
-	// from the hook exercises the full supervision path: worker death,
-	// rate-limited respawn, job retry. Test and CI use only.
-	ChaosHook func(jobID string, attempt int)
-
-	// Logf receives supervision diagnostics (worker panics with their
-	// stacks). Default: discard.
+	// Logf receives worker diagnostics (job panics with their stacks).
+	// Default: discard.
 	Logf func(format string, args ...any)
 
 	// now overrides the quota clock in tests.
@@ -122,17 +108,6 @@ func (c Config) withDefaults() Config {
 	if c.Retention <= 0 {
 		c.Retention = 16384
 	}
-	if c.MaxJobRetries == 0 {
-		c.MaxJobRetries = 1
-	} else if c.MaxJobRetries < 0 {
-		c.MaxJobRetries = 0
-	}
-	if c.RestartRate <= 0 {
-		c.RestartRate = 1
-	}
-	if c.RestartBurst <= 0 {
-		c.RestartBurst = 5
-	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
@@ -143,13 +118,12 @@ func (c Config) withDefaults() Config {
 // behind it. Build with NewServer, mount anywhere (it serves relative
 // paths), and call Shutdown to drain.
 type Server struct {
-	cfg      Config
-	mux      *http.ServeMux
-	queue    chan *job
-	metrics  *metrics
-	quotas   *quotaTable
-	restarts *restartLimiter
-	journal  *Journal
+	cfg     Config
+	mux     *http.ServeMux
+	queue   chan *job
+	metrics *metrics
+	quotas  *quotaTable
+	journal *Journal
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -183,7 +157,6 @@ func NewServer(cfg Config) *Server {
 		queue:      make(chan *job, cfg.QueueDepth+len(pending)),
 		metrics:    newMetrics(),
 		quotas:     newQuotaTable(cfg.QuotaRate, cfg.QuotaBurst, cfg.MaxInFlightPerTenant, cfg.now),
-		restarts:   newRestartLimiter(cfg.RestartRate, cfg.RestartBurst, cfg.now),
 		journal:    cfg.Journal,
 		baseCtx:    ctx,
 		baseCancel: cancel,
@@ -207,8 +180,9 @@ func NewServer(cfg Config) *Server {
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	s.workerWG.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
-		s.startWorker(0)
+		go s.workerLoop()
 	}
 	return s
 }
@@ -267,10 +241,21 @@ func tenantOf(r *http.Request) string {
 	return "anonymous"
 }
 
+// maxRequestBytes caps a POST /v1/campaigns body. It comfortably
+// holds a 65 536-value sweep (the default MaxRunsPerJob), and a body
+// past it is refused before it is buffered or costs any quota.
+const maxRequestBytes = 4 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	tenant := tenantOf(r)
-	req, err := DecodeCampaignRequest(r.Body)
+	req, err := DecodeCampaignRequest(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, "too_large",
+				fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit), 0)
+			return
+		}
 		writeError(w, http.StatusBadRequest, "bad_request", err.Error(), 0)
 		return
 	}
@@ -449,11 +434,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Metrics())
 }
 
-// runJob executes one job attempt to a terminal state. Settlement
-// (finish + retire) happens explicitly on each exit path rather than
-// in a defer: when the campaign panics, the job must stay unsettled so
-// the supervisor's crash boundary (runJobSafe) can decide between a
-// retry and a terminal failure.
+// runJob executes one job to a terminal state. Settlement (finish +
+// retire) happens explicitly on each exit path rather than in a defer:
+// when the campaign panics, the job must stay unsettled so the
+// worker's crash boundary (runJobSafe) settles it failed exactly once.
 func (s *Server) runJob(j *job) {
 	s.metrics.inFlight.Add(1)
 	defer s.metrics.inFlight.Add(-1)
@@ -466,7 +450,7 @@ func (s *Server) runJob(j *job) {
 	}
 	j.start()
 	if s.cfg.ChaosHook != nil {
-		s.cfg.ChaosHook(j.id, j.attempts)
+		s.cfg.ChaosHook(j.id)
 	}
 	timeout := s.cfg.DefaultTimeout
 	if j.req.TimeoutS > 0 {

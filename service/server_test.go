@@ -2,6 +2,8 @@ package service
 
 import (
 	"context"
+	"encoding/json"
+	"io"
 	"maps"
 	"net/http"
 	"net/http/httptest"
@@ -112,11 +114,14 @@ func TestBadRequestsAre400(t *testing.T) {
 		{Scenario: "no-such-scenario"},
 		{Scenario: "baseline", Params: map[string]float64{"bogus": 1}},
 		{Scenario: "baseline", Runs: 100}, // over MaxRunsPerJob
+		// No positive sampling period: a build error, not a handler panic.
+		{Scenario: "udpflood", Params: map[string]float64{"telemetry.rate": 0}},
+		{Scenario: "udpflood", Params: map[string]float64{"telemetry.rate": 2e9}},
 	} {
 		_, err := cl.Submit(t.Context(), req)
 		apiErr, ok := err.(*APIError)
-		if !ok || apiErr.StatusCode != http.StatusBadRequest {
-			t.Fatalf("request %+v: want 400, got %v", req, err)
+		if !ok || apiErr.StatusCode != http.StatusBadRequest || apiErr.Reason != "bad_request" {
+			t.Fatalf("request %+v: want 400 bad_request, got %v", req, err)
 		}
 	}
 }
@@ -427,4 +432,57 @@ func waitStatus(t *testing.T, cl *Client, jobID, want string) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("job %s never reached %s", jobID, want)
+}
+
+// postRaw submits a raw request body and decodes the answer's
+// ErrorResponse (zero when the answer is not an error).
+func postRaw(t *testing.T, cl *Client, body io.Reader) (int, ErrorResponse) {
+	t.Helper()
+	resp, err := http.Post(cl.BaseURL+"/v1/campaigns", "application/json", body)
+	if err != nil {
+		t.Fatalf("post: %v", err)
+	}
+	defer resp.Body.Close()
+	var er ErrorResponse
+	if resp.StatusCode >= 400 {
+		if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+			t.Fatalf("decode error body: %v", err)
+		}
+	}
+	return resp.StatusCode, er
+}
+
+// TestOversizedBodyIs413: a submission one byte over the body cap is
+// refused with 413 before it is admitted — no quota token spent, no
+// journal entry written, nothing counted as accepted. The body is an
+// otherwise valid request padded with insignificant whitespace, which
+// an uncapped decoder would accept.
+func TestOversizedBodyIs413(t *testing.T) {
+	jl, err := OpenJournal(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { jl.Close() })
+	frozen := time.Now()
+	svc, cl := newTestServer(t, Config{
+		Workers: 1, QuotaRate: 1, QuotaBurst: 1, Journal: jl,
+		now: func() time.Time { return frozen }, // bucket never refills
+	})
+	head := `{"schema_version":1,"scenario":"baseline","duration_s":1,`
+	tail := `"runs":1}`
+	pad := strings.Repeat(" ", maxRequestBytes+1-len(head)-len(tail))
+	code, er := postRaw(t, cl, strings.NewReader(head+pad+tail))
+	if code != http.StatusRequestEntityTooLarge || er.Reason != "too_large" {
+		t.Fatalf("cap+1 body: status %d reason %q, want 413 too_large", code, er.Reason)
+	}
+	if p := jl.Pending(); len(p) != 0 || jl.MaxID() != 0 {
+		t.Fatalf("oversized body journaled: pending %+v, max id %d", p, jl.MaxID())
+	}
+	if m := svc.Metrics(); m.Accepted != 0 {
+		t.Fatalf("oversized body counted as accepted: %d", m.Accepted)
+	}
+	// The tenant's single quota token is still there.
+	if _, err := cl.Submit(t.Context(), CampaignRequest{Scenario: "baseline", Runs: 1, DurationS: 1}); err != nil {
+		t.Fatalf("submit after the 413: %v", err)
+	}
 }
